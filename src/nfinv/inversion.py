@@ -12,14 +12,17 @@ Two solvers share the physics interface (predict / gradient / jvp):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nfinv.errors import SolverError
-from nfinv.neural_field import Mlp, forward, get_weights, save_checkpoint, set_weights, vjp
+from nfinv.neural_field import (JacobianOperator, Mlp, forward, get_weights,
+                                save_checkpoint, set_weights)
+# unused by the epoch loop, but benchmark/layers.py wraps inversion.vjp by name
+from nfinv.neural_field import vjp  # noqa: F401
 
 
 def data_misfit(w_d, d_obs: np.ndarray,
@@ -231,8 +234,6 @@ class InversionResult:
     converged: bool
     final_misfit: float
     status: str = "ok"
-    checkpoints: list = field(default_factory=list)
-    weights: np.ndarray | None = None
 
     @property
     def n_epochs(self) -> int:
@@ -243,28 +244,28 @@ def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
                epochs: int, schedule: CoolingSchedule | None = None,
                adam: Adam | None = None, reg: Regularization | None = None,
                target_misfit: float | None = None,
-               checkpoint_every: int = 0, checkpoint_dir=None,
-               snapshot_every: int = 0) -> InversionResult:
+               checkpoint_every: int = 0,
+               checkpoint_dir=None) -> InversionResult:
     """Optimize the network weights against the physics (Adam, surrogate loss).
 
-    Per epoch: cool the trade-off, predict the model from the network,
-    evaluate the data misfit and its model-space gradient through the
-    physics adjoint, then backpropagate
-    (1 - beta) * J_v + beta * grad phi_m(m) through the network only and
-    take one Adam step.  With no schedule, beta is 0 throughout (the
-    tomography configuration).
+    Per epoch: cool the trade-off, linearize the network at its weights
+    (one forward pass, whose cache the backward pass reuses), evaluate the
+    data misfit and its model-space gradient through the physics adjoint,
+    then backpropagate (1 - beta) * J_v + beta * grad phi_m(m) through the
+    network only and take one Adam step.  With no schedule, beta is 0
+    throughout (the tomography configuration).
     """
     if adam is None:
         adam = Adam(mlp.param_count)
     w = get_weights(mlp)
     misfits, betas, regs, clocks = [], [], [], []
-    checkpoints = []
     converged = False
 
     for t in range(1, epochs + 1):
         t0 = time.perf_counter()
         beta_t = schedule.beta(t) if schedule is not None else 0.0
-        m = forward(mlp, Z)
+        lin = JacobianOperator(mlp, Z)
+        m = lin.m
         d_pred = simulator.predict(m)
         phi_d, cot = data_misfit(w_d, d_obs, d_pred)
         if not np.isfinite(phi_d):
@@ -282,8 +283,6 @@ def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
         misfits.append(phi_d)
         betas.append(beta_t)
         regs.append(phi_m)
-        if snapshot_every and t % snapshot_every == 0:
-            checkpoints.append((t, m.copy()))
         if checkpoint_every and checkpoint_dir is not None \
                 and t % checkpoint_every == 0:
             save_checkpoint(f"{checkpoint_dir}/epoch_{t:06d}.ckpt", mlp, t)
@@ -292,7 +291,8 @@ def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
             converged = True
             break
 
-        g_w = vjp(mlp, Z, g_m)
+        g_w = lin.rmatvec(g_m)
+        del lin  # one epoch's layer inputs held at a time
         w = adam.step(w, g_w)
         set_weights(mlp, w)
         clocks.append(time.perf_counter() - t0)
@@ -307,8 +307,6 @@ def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
         wall_clock=np.array(clocks),
         converged=converged,
         final_misfit=final_misfit,
-        checkpoints=checkpoints,
-        weights=get_weights(mlp),
     )
 
 
@@ -361,8 +359,7 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
                         gn_cg_rtol: float = 1e-3,
                         irls_cooling: float = 0.5,
                         irls_epsilon_floor: float = 1e-6,
-                        sens_seed: int = 0,
-                        snapshot_every: int = 0) -> InversionResult:
+                        sens_seed: int = 0) -> InversionResult:
     """Model-space inversion from a reference starting model.
 
     gradient_descent: steepest descent with Armijo backtracking.  The
@@ -386,7 +383,6 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
     w = np.asarray(w_d, dtype=float)
     beta_t = beta0
     misfits, betas, regs, clocks = [], [], [], []
-    checkpoints = []
     converged = False
     status = "ok"
 
@@ -422,8 +418,6 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
         misfits.append(phi_d)
         betas.append(beta_t)
         regs.append(phi_m)
-        if snapshot_every and it % snapshot_every == 0:
-            checkpoints.append((it, m.copy()))
         if target_misfit is not None and phi_d <= target_misfit:
             clocks.append(time.perf_counter() - t0)
             converged = True
@@ -493,5 +487,4 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
         converged=converged,
         final_misfit=final_misfit,
         status=status,
-        checkpoints=checkpoints,
     )

@@ -63,13 +63,15 @@ def init_kaiming(layer_dims, hidden_slope: float = 0.01,
     """Gaussian fan-in initialization, gain adjusted for the LeakyReLU slope.
 
     Weights ~ N(0, 2 / ((1 + slope^2) * fan_in)), biases zero.  Deterministic
-    per seed.
+    per seed.  The LeakyReLU slope must lie in [0, 1].
     """
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2:
         raise ValueError("need at least input and output dims")
     if any(d < 1 for d in dims):
         raise ValueError(f"layer dims must be >= 1, got {dims}")
+    if not 0.0 <= hidden_slope <= 1.0:
+        raise ValueError(f"hidden slope must lie in [0, 1], got {hidden_slope}")
     if output_activation not in OUTPUT_ACTIVATIONS:
         raise ValueError(f"unknown output activation {output_activation!r}")
 
@@ -113,164 +115,182 @@ def _as_matrix(z) -> np.ndarray:
     return np.asarray(z, dtype=float)
 
 
-def _leaky(a: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(a > 0, a, slope * a)
-
-
-def _leaky_deriv(a: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(a > 0, 1.0, slope)
-
-
-def _out_act(a: np.ndarray, kind: str) -> np.ndarray:
+def _head(raw: np.ndarray, kind: str):
+    """Output activation and its derivative at the raw output."""
     if kind == "tanh":
-        return np.tanh(a)
+        t = np.tanh(raw)
+        return t, 1.0 - t * t
     if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-a))
+        s = 1.0 / (1.0 + np.exp(-raw))
+        return s, s * (1.0 - s)
     if kind == "relu":
-        return np.maximum(a, 0.0)
-    return a
+        return np.maximum(raw, 0.0), (raw > 0).astype(float)
+    return raw, np.ones_like(raw)
 
 
-def _out_act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        t = np.tanh(a)
-        return 1.0 - t * t
-    if kind == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-a))
-        return s * (1.0 - s)
-    if kind == "relu":
-        return (a > 0).astype(float)
-    return np.ones_like(a)
+# bytes of one cell block's temporary in matmat / rmatmat
+_BLOCK_BYTES = 4 * 2 ** 20
 
 
-def _forward_cached(mlp: Mlp, x: np.ndarray):
-    """Forward pass keeping layer inputs and pre-activations for backprop."""
-    xs = [x]          # inputs to each layer
-    pre = []          # pre-activation of each layer
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        a = xs[-1] @ w + b
-        pre.append(a)
-        if i < mlp.n_layers - 1:
-            xs.append(_leaky(a, mlp.hidden_slope))
-    raw = pre[-1][:, 0]
-    m = mlp.output_offset + mlp.output_scale * _out_act(raw, mlp.output_activation)
-    return m, xs, pre
+class JacobianOperator:
+    """The network linearized at its current weights, J = d(model)/d(weights).
+
+    Construction runs one forward pass over every cell and keeps only the
+    layer inputs X_l (X_0 = Z) and the head derivative; ``m`` is the model.
+    ``rmatvec`` backpropagates its cotangent through that cache, so it
+    equals a separate forward and backward pass bit for bit.  A
+    scalar-output network's backprop sensitivities are linear in the
+    cotangent, Delta_l(c) = c * Delta_l(1) row by row, so the unit
+    sensitivities Delta_l(1), computed on first use, give ``matvec``,
+    ``matmat``, ``rmatmat`` and the dense Jacobian as one GEMM per layer
+    (the per-example gradient identity, Goodfellow, arXiv:1510.01799).
+    Every product is exact.  The cache holds the weights at construction:
+    build a new operator after changing them.  shape is (n_cells, n_params).
+    """
+
+    def __init__(self, mlp: Mlp, z):
+        x = _as_matrix(z)
+        if x.ndim != 2 or x.shape[1] != mlp.input_dim:
+            raise ValueError(f"Z must have shape (n, {mlp.input_dim}), "
+                             f"got {x.shape}")
+        self._mlp = mlp
+        self.shape = (x.shape[0], mlp.param_count)
+        self._xs = [x]
+        for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+            a = self._xs[-1] @ w
+            a += b
+            # LeakyReLU; equals np.where(a > 0, a, slope * a) for a slope
+            # in [0, 1], which init_kaiming enforces
+            self._xs.append(np.maximum(a, mlp.hidden_slope * a, out=a))
+        raw = (self._xs[-1] @ mlp.weights[-1] + mlp.biases[-1])[:, 0]
+        act, self._head_deriv = _head(raw, mlp.output_activation)
+        self.m = mlp.output_offset + mlp.output_scale * act
+        self._unit = None
+
+    def _slices(self):
+        """(layer input, W, weight slice, bias slice) in flat-vector order."""
+        pos = 0
+        for x, w in zip(self._xs, self._mlp.weights):
+            end = pos + w.size
+            yield x, w, slice(pos, end), slice(end, end + w.shape[1])
+            pos = end + w.shape[1]
+
+    def _sweep(self, d: np.ndarray):
+        """(X_l, W_l, weight slice, bias slice, Delta_l), last layer first.
+
+        ``d`` holds the sensitivities of the raw output, shape (n_cells, 1).
+        """
+        layers = list(self._slices())
+        for i in range(len(layers) - 1, -1, -1):
+            x, w, ws, bs = layers[i]
+            yield x, w, ws, bs, d
+            if i:
+                d = d @ w.T
+                # X_i > 0 exactly where the LeakyReLU argument of layer
+                # i - 1 was positive (slope >= 0)
+                d *= np.where(x > 0, 1.0, self._mlp.hidden_slope)
+
+    def _unit_deltas(self) -> list[np.ndarray]:
+        """Delta_l(1) = d(model)/d(pre-activation of layer l), all cells."""
+        if self._unit is None:
+            head = (self._mlp.output_scale * self._head_deriv)[:, None]
+            self._unit = [d for *_, d in self._sweep(head)][::-1]
+        return self._unit
+
+    def _blocks(self, width: int):
+        """Cell slices whose (rows, width) float64 temporaries fit a block."""
+        rows = max(1, _BLOCK_BYTES // (8 * width))
+        return [slice(s, s + rows) for s in range(0, self.shape[0], rows)]
+
+    def rmatvec(self, u: np.ndarray) -> np.ndarray:
+        """J.T @ u: the weight gradient of (u . m), one reverse sweep."""
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.shape[0],):
+            raise ValueError(f"cotangent must have length {self.shape[0]}, "
+                             f"got {u.shape}")
+        out = np.empty(self.shape[1])
+        head = (u * self._mlp.output_scale * self._head_deriv)[:, None]
+        for x, _, ws, bs, d in self._sweep(head):
+            out[ws] = (x.T @ d).ravel()
+            out[bs] = d.sum(axis=0)
+        return out
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """J @ v: the directional derivative of the model along v."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.shape[1],):
+            raise ValueError(f"expected {self.shape[1]} tangents, "
+                             f"got {v.shape}")
+        return self.matmat(v[:, None])[:, 0]
+
+    def matmat(self, v: np.ndarray) -> np.ndarray:
+        """J @ V for V of shape (n_params, r)."""
+        v = np.asarray(v, dtype=float)
+        r = v.shape[1]
+        out = np.zeros((self.shape[0], r))
+        for (x, w, ws, bs), d in zip(self._slices(), self._unit_deltas()):
+            fan_in, fan_out = w.shape
+            out += d @ v[bs]
+            vw = v[ws].reshape(fan_in, fan_out * r)
+            for s in self._blocks(fan_out * r):
+                t = (x[s] @ vw).reshape(-1, fan_out, r)
+                out[s] += np.einsum("njk,nj->nk", t, d[s])
+        return out
+
+    def rmatmat(self, u: np.ndarray) -> np.ndarray:
+        """J.T @ U for U of shape (n_cells, r)."""
+        u = np.asarray(u, dtype=float)
+        r = u.shape[1]
+        out = np.empty((self.shape[1], r))
+        for (x, w, ws, bs), d in zip(self._slices(), self._unit_deltas()):
+            fan_in, fan_out = w.shape
+            out[bs] = d.T @ u
+            g = out[ws].reshape(fan_in, fan_out * r)
+            g[...] = 0.0
+            for s in self._blocks(fan_out * r):
+                du = d[s][:, :, None] * u[s][:, None, :]
+                g += x[s].T @ du.reshape(-1, fan_out * r)
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The whole Jacobian; row i is the weight gradient of m_i."""
+        out = np.empty(self.shape)
+        n = self.shape[0]
+        for (x, w, ws, bs), d in zip(self._slices(), self._unit_deltas()):
+            np.multiply(x[:, :, None], d[:, None, :],
+                        out=out[:, ws].reshape(n, *w.shape))
+            out[:, bs] = d
+        return out
 
 
 def forward(mlp: Mlp, z) -> np.ndarray:
     """Evaluate the network on every row of Z; returns the model vector."""
-    x = _as_matrix(z)
-    if x.ndim != 2 or x.shape[1] != mlp.input_dim:
-        raise ValueError(f"Z must have shape (n, {mlp.input_dim}), "
-                         f"got {x.shape}")
-    m, _, _ = _forward_cached(mlp, x)
-    return m
-
-
-def _output_deltas(mlp: Mlp, pre: list[np.ndarray], cotangent: np.ndarray):
-    """Backprop sensitivities D_l of (cotangent . m) per layer, all cells."""
-    raw = pre[-1][:, 0]
-    d = (cotangent * mlp.output_scale *
-         _out_act_deriv(raw, mlp.output_activation))[:, None]
-    deltas = [None] * mlp.n_layers
-    deltas[-1] = d
-    for i in range(mlp.n_layers - 2, -1, -1):
-        d = (d @ mlp.weights[i + 1].T) * _leaky_deriv(pre[i], mlp.hidden_slope)
-        deltas[i] = d
-    return deltas
+    return JacobianOperator(mlp, z).m
 
 
 def vjp(mlp: Mlp, z, cotangent: np.ndarray) -> np.ndarray:
-    """Gradient of (cotangent . m(w)) with respect to the flat weights.
-
-    Linear in the cotangent; this is one reverse-mode sweep over all cells.
-    """
-    x = _as_matrix(z)
-    cotangent = np.asarray(cotangent, dtype=float)
-    if cotangent.shape != (x.shape[0],):
-        raise ValueError(f"cotangent must have length {x.shape[0]}, "
-                         f"got {cotangent.shape}")
-    _, xs, pre = _forward_cached(mlp, x)
-    deltas = _output_deltas(mlp, pre, cotangent)
-    parts = []
-    for i in range(mlp.n_layers):
-        parts.append((xs[i].T @ deltas[i]).ravel())
-        parts.append(deltas[i].sum(axis=0))
-    return np.concatenate(parts)
+    """Gradient of (cotangent . m(w)) with respect to the flat weights."""
+    return JacobianOperator(mlp, z).rmatvec(cotangent)
 
 
 def jvp(mlp: Mlp, z, dw: np.ndarray) -> np.ndarray:
     """Directional derivative J @ dw of the model with respect to weights."""
-    x = _as_matrix(z)
-    dw = np.asarray(dw, dtype=float)
-    if dw.shape != (mlp.param_count,):
-        raise ValueError(f"expected {mlp.param_count} tangents, got {dw.shape}")
-    pos = 0
-    cur = x
-    tan = np.zeros_like(x)
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        dwi = dw[pos:pos + w.size].reshape(w.shape)
-        pos += w.size
-        dbi = dw[pos:pos + b.size]
-        pos += b.size
-        a = cur @ w + b
-        da = tan @ w + cur @ dwi + dbi
-        if i < mlp.n_layers - 1:
-            tan = da * _leaky_deriv(a, mlp.hidden_slope)
-            cur = _leaky(a, mlp.hidden_slope)
-        else:
-            raw, draw = a[:, 0], da[:, 0]
-    return mlp.output_scale * _out_act_deriv(raw, mlp.output_activation) * draw
-
-
-class JacobianOperator:
-    """Matrix-free handle on J = d(model)/d(weights), shape (n_cells, n_params).
-
-    matvec is a forward-mode pass, rmatvec a reverse-mode pass; both are
-    exact (no finite differencing).
-    """
-
-    def __init__(self, mlp: Mlp, z):
-        self._mlp = mlp
-        self._z = _as_matrix(z)
-        self.shape = (self._z.shape[0], mlp.param_count)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return jvp(self._mlp, self._z, v)
-
-    def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        return vjp(self._mlp, self._z, u)
-
-    def matmat(self, v: np.ndarray) -> np.ndarray:
-        return np.column_stack([self.matvec(col) for col in v.T])
-
-    def rmatmat(self, u: np.ndarray) -> np.ndarray:
-        return np.column_stack([self.rmatvec(col) for col in u.T])
+    return JacobianOperator(mlp, z).matvec(dw)
 
 
 def weight_jacobian(mlp: Mlp, z, max_bytes: int = 2 ** 30) -> np.ndarray:
     """Dense Jacobian d(model)/d(weights); row i is vjp with cotangent e_i.
 
-    Rows for all cells are assembled in one batched sweep (cells are
-    independent samples, so per-cell gradients never mix).  Refuses to
-    allocate more than ``max_bytes``; use :class:`JacobianOperator` beyond
-    that.
+    Refuses to allocate more than ``max_bytes``; use
+    :class:`JacobianOperator` beyond that.
     """
-    x = _as_matrix(z)
-    n, p = x.shape[0], mlp.param_count
+    n, p = _as_matrix(z).shape[0], mlp.param_count
     need = n * p * 8
     if need > max_bytes:
         raise CapacityError(
             f"dense Jacobian needs {need} bytes (> budget {max_bytes}); "
             "use JacobianOperator for the matrix-free path")
-    _, xs, pre = _forward_cached(mlp, x)
-    deltas = _output_deltas(mlp, pre, np.ones(n))
-    blocks = []
-    for i in range(mlp.n_layers):
-        jw = np.einsum("ni,nj->nij", xs[i], deltas[i]).reshape(n, -1)
-        blocks.append(jw)
-        blocks.append(deltas[i])
-    return np.hstack(blocks)
+    return JacobianOperator(mlp, z).dense()
 
 
 def save_checkpoint(path, mlp: Mlp, epoch: int | None = None) -> None:

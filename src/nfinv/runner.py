@@ -154,8 +154,9 @@ def _write_histories(result, out_dir: str) -> None:
     with open(os.path.join(out_dir, "histories.csv"), "w") as f:
         f.write("epoch,misfit,beta,reg\n")
         for i in range(result.n_epochs):
-            f.write(f"{i + 1},{result.misfit_history[i]!r},"
-                    f"{result.beta_history[i]!r},{result.reg_history[i]!r}\n")
+            f.write(f"{i + 1},{float(result.misfit_history[i])!r},"
+                    f"{float(result.beta_history[i])!r},"
+                    f"{float(result.reg_history[i])!r}\n")
 
 
 def _build_regularization(cfg: dict, mesh: TensorMesh) -> Regularization:

@@ -4,8 +4,8 @@ The left-singular vectors live on the model grid; after a converged
 inversion their maps show what basis the reparameterization has built for
 the model.  Exact mode uses a dense LAPACK SVD; randomized mode is a
 Gaussian-sketch range finder with power iterations that only needs
-matvec / rmatvec closures, so it also covers Jacobians too large to
-materialize.
+the batched products J @ X and J.T @ X, so it also covers Jacobians too
+large to materialize.
 """
 
 from __future__ import annotations
@@ -53,22 +53,10 @@ def _fix_signs(U: np.ndarray, V: np.ndarray | None):
     return U, V
 
 
-def _matmat(J, X: np.ndarray) -> np.ndarray:
-    if hasattr(J, "matmat"):
-        return J.matmat(X)
-    return J @ X
-
-
-def _rmatmat(J, X: np.ndarray) -> np.ndarray:
-    if hasattr(J, "rmatmat"):
-        return J.rmatmat(X)
-    return J.T @ X
-
-
 def truncated_svd(J, k: int, mode: str = "exact", oversample: int = 10,
                   power_iters: int = 2, seed: int = 0,
                   keep_v: bool = True) -> SvdResult:
-    """Top-k singular triplets of a matrix or a matvec/rmatvec operator.
+    """Top-k singular triplets of a matrix or a matmat/rmatmat operator.
 
     exact: dense SVD (requires an ndarray).
     randomized: Gaussian sketch with ``oversample`` extra columns and
@@ -86,16 +74,19 @@ def truncated_svd(J, k: int, mode: str = "exact", oversample: int = 10,
         U, V = U[:, :k].copy(), Vt[:k].T.copy()
         s = s[:k].copy()
     elif mode == "randomized":
+        if isinstance(J, np.ndarray):
+            matmat, rmatmat = J.__matmul__, J.T.__matmul__
+        else:
+            matmat, rmatmat = J.matmat, J.rmatmat
         rng = np.random.default_rng(seed)
         n, p = shape
         r = min(k + oversample, min(shape))
-        omega = rng.standard_normal((p, r))
-        Y = _matmat(J, omega)
-        Q = np.linalg.qr(Y)[0]
+        # the (p, r) sketch is released as soon as the first product is taken
+        Q = np.linalg.qr(matmat(rng.standard_normal((p, r))))[0]
         for _ in range(power_iters):
-            Q = np.linalg.qr(_rmatmat(J, Q))[0]
-            Q = np.linalg.qr(_matmat(J, Q))[0]
-        B = _rmatmat(J, Q).T  # (r, p)
+            Q = np.linalg.qr(rmatmat(Q))[0]
+            Q = np.linalg.qr(matmat(Q))[0]
+        B = rmatmat(Q).T  # (r, p)
         Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
         U = (Q @ Ub)[:, :k]
         V = Vt[:k].T.copy()
@@ -146,7 +137,7 @@ def analyze_trained_network(mlp: Mlp, Z, k: int, grid_shape: tuple[int, int],
         with open(os.path.join(out_dir, "spectrum.csv"), "w") as f:
             f.write("index,singular_value\n")
             for i, v in enumerate(result.values):
-                f.write(f"{i},{v!r}\n")
+                f.write(f"{i},{float(v)!r}\n")
         from nfinv.render import render_heatmap
         for i in range(result.k):
             grid = result.U[:, i]

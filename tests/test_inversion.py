@@ -14,7 +14,8 @@ from nfinv.inversion import (
     nfs_invert,
 )
 from nfinv.mesh import build_tomo_mesh, normalized_centers
-from nfinv.neural_field import forward, get_weights, init_kaiming, vjp
+from nfinv.neural_field import (forward, get_weights, init_kaiming,
+                                set_weights, vjp)
 from nfinv.scenarios import NoiseSpec, add_noise, make_case1
 from nfinv.tomo import TomoSimulator, build_crosshole_survey, build_ray_matrix
 
@@ -253,6 +254,59 @@ class TestNfsInvert:
         assert result.converged
         assert result.n_epochs < 4000
         assert result.misfit_history[-1] <= big_target
+
+    def test_epochs_bitwise_match_separate_forward_and_backward(self):
+        # reference epoch: an np.where LeakyReLU forward, then a backward
+        # pass that recomputes that forward, in the operation order the
+        # weight gradient has always used
+        def ref_forward(mlp, x):
+            xs, pre = [x], []
+            for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+                a = xs[-1] @ w + b
+                pre.append(a)
+                if i < mlp.n_layers - 1:
+                    xs.append(np.where(a > 0, a, mlp.hidden_slope * a))
+            raw = pre[-1][:, 0]
+            return mlp.output_offset + mlp.output_scale * np.tanh(raw), xs, pre
+
+        def ref_vjp(mlp, x, c):
+            _, xs, pre = ref_forward(mlp, x)
+            t = np.tanh(pre[-1][:, 0])
+            d = (c * mlp.output_scale * (1.0 - t * t))[:, None]
+            deltas = [d]
+            for i in range(mlp.n_layers - 2, -1, -1):
+                d = (d @ mlp.weights[i + 1].T) * np.where(pre[i] > 0, 1.0,
+                                                          mlp.hidden_slope)
+                deltas.append(d)
+            return np.concatenate([
+                part for xi, di in zip(xs, deltas[::-1])
+                for part in ((xi.T @ di).ravel(), di.sum(axis=0))])
+
+        rng = np.random.default_rng(8)
+        z = rng.uniform(0.0, 1.0, size=(40, 3))
+        sim = LinearSimulator(rng.normal(size=(25, 40)))
+        d_obs = rng.normal(size=25)
+
+        def net():
+            return init_kaiming((3, 16, 12, 1), hidden_slope=0.1,
+                                output_scale=2.0, output_offset=0.5, seed=4)
+
+        mlp = net()
+        result = nfs_invert(sim, d_obs, 1.5, mlp, z, epochs=12,
+                            adam=Adam(mlp.param_count, learning_rate=1e-2))
+
+        ref = net()
+        adam = Adam(ref.param_count, learning_rate=1e-2)
+        w, misfits = get_weights(ref), []
+        for _ in range(12):
+            m, _, _ = ref_forward(ref, z)
+            phi_d, cot = data_misfit(1.5, d_obs, sim.predict(m))
+            misfits.append(phi_d)
+            w = adam.step(w, ref_vjp(ref, z, (1.0 - 0.0) * sim.gradient(cot)))
+            set_weights(ref, w)
+        assert np.array_equal(result.misfit_history, misfits)
+        assert np.array_equal(get_weights(mlp), w)
+        assert np.array_equal(result.model, ref_forward(ref, z)[0])
 
 
 class TestConventional:

@@ -162,6 +162,14 @@ class TestRunner:
         svd_dir = tmp_path / "run" / "svd"
         assert (svd_dir / "spectrum.csv").exists()
         assert (svd_dir / "u_000.png").exists()
+        # every field of the histories and the spectrum reads as a number
+        for path in (tmp_path / "run" / "histories.csv",
+                     svd_dir / "spectrum.csv"):
+            rows = path.read_text().splitlines()[1:]
+            assert rows
+            for row in rows:
+                for field in row.split(","):
+                    float(field)
 
     def test_dcr_assembly_centers_line(self):
         man = default_manifest(3)

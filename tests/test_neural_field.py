@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from nfinv import neural_field
 from nfinv.encoding import EncodingConfig, encode
 from nfinv.errors import CapacityError
 from nfinv.mesh import build_tomo_mesh, normalized_centers
@@ -54,6 +56,30 @@ class TestInit:
     def test_empty_dims(self):
         with pytest.raises(ValueError):
             init_kaiming((4,))
+
+    @pytest.mark.parametrize("slope", [-0.01, 1.5, math.nan])
+    def test_hidden_slope_outside_unit_interval(self, slope, tmp_path):
+        # the LeakyReLU is max(a, slope * a), which needs 0 <= slope <= 1
+        with pytest.raises(ValueError, match="slope"):
+            init_kaiming((2, 4, 1), hidden_slope=slope)
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(path, init_kaiming((2, 4, 1)))
+        header, body = path.read_bytes().split(b"\n", 1)
+        fields = json.loads(header)
+        fields["hidden_slope"] = slope
+        path.write_bytes(json.dumps(fields).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match="slope"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.3, 1.0])
+    def test_hidden_slope_in_unit_interval(self, slope):
+        mlp = init_kaiming((2, 6, 1), hidden_slope=slope,
+                           output_activation="none", seed=2)
+        z = np.random.default_rng(0).normal(size=(30, 2))
+        a = z @ mlp.weights[0] + mlp.biases[0]
+        h = np.where(a > 0, a, slope * a)
+        want = (h @ mlp.weights[1] + mlp.biases[1])[:, 0]
+        assert np.array_equal(forward(mlp, z), want)
 
 
 class TestForward:
@@ -200,6 +226,22 @@ class TestJacobian:
         u = rng.normal(size=9)
         assert np.allclose(op.matvec(v), j @ v, rtol=1e-12, atol=1e-13)
         assert np.allclose(op.rmatvec(u), j.T @ u, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("r", [1, 3, 20])
+    def test_batched_products_match_dense(self, r, monkeypatch):
+        # 8 KB blocks and a prime cell count leave a partial last block
+        monkeypatch.setattr(neural_field, "_BLOCK_BYTES", 8192)
+        mlp = init_kaiming((3, 16, 12, 1), output_scale=1.7, seed=6)
+        rng = np.random.default_rng(r)
+        z = rng.normal(size=(211, 3))
+        op = JacobianOperator(mlp, z)
+        assert any(s.stop > 211 for s in op._blocks(16 * r))
+        j = weight_jacobian(mlp, z)
+        v = rng.normal(size=(mlp.param_count, r))
+        u = rng.normal(size=(211, r))
+        for got, want in ((op.matmat(v), j @ v), (op.rmatmat(u), j.T @ u)):
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
 
     def test_jvp_vjp_adjoint_identity(self):
         mlp = init_kaiming((3, 9, 1), output_activation="sigmoid", seed=8)
