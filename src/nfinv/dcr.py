@@ -16,13 +16,14 @@ import csv
 import logging
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nfinv.errors import GeometryError, SolverError
-from nfinv.mesh import TensorMesh
+from nfinv.mesh import TensorMesh, embed_core
 
 log = logging.getLogger(__name__)
 
@@ -46,6 +47,14 @@ class DcrSurvey:
     @property
     def n_data(self) -> int:
         return sum(len(r) for r in self.rx_dipoles)
+
+    @cached_property
+    def abmn(self) -> np.ndarray:
+        """Survey index: electrodes (A, B, M, N) of each datum, one per row."""
+        rows = [(a, b, m, n) for (a, b), rx in zip(self.src_dipoles,
+                                                   self.rx_dipoles)
+                for m, n in rx]
+        return np.array(rows, dtype=int).reshape(-1, 4)
 
 
 def build_dipole_dipole_survey(line_length: float, station_sep: float,
@@ -78,45 +87,6 @@ def build_dipole_dipole_survey(line_length: float, station_sep: float,
     return DcrSurvey(xs, tuple(src), tuple(rx), current)
 
 
-def _face_geometry(mesh: TensorMesh):
-    """Interior face and Dirichlet boundary-face descriptors.
-
-    Returns (fi, fj, area, di, dj) for interior faces and (bc, b_area,
-    b_dist) for the phi = 0 ghost faces on the left/right/bottom sides.
-    """
-    nx, nz = mesh.nx_full, mesh.nz_full
-    wx, wz = mesh.x_widths, mesh.z_widths
-    idx = np.arange(nx * nz).reshape(nz, nx)
-
-    # x-oriented faces (neighbors in x)
-    fi_x = idx[:, :-1].ravel()
-    fj_x = idx[:, 1:].ravel()
-    a_x = np.repeat(wz, nx - 1)
-    di_x = np.tile(wx[:-1] / 2, nz)
-    dj_x = np.tile(wx[1:] / 2, nz)
-
-    # z-oriented faces (neighbors in z)
-    fi_z = idx[:-1, :].ravel()
-    fj_z = idx[1:, :].ravel()
-    a_z = np.tile(wx, nz - 1)
-    di_z = np.repeat(wz[:-1] / 2, nx)
-    dj_z = np.repeat(wz[1:] / 2, nx)
-
-    fi = np.concatenate([fi_x, fi_z])
-    fj = np.concatenate([fj_x, fj_z])
-    area = np.concatenate([a_x, a_z])
-    di = np.concatenate([di_x, di_z])
-    dj = np.concatenate([dj_x, dj_z])
-
-    # Dirichlet ghost faces: left, right, bottom (top is no-flux)
-    bc = np.concatenate([idx[:, 0], idx[:, -1], idx[-1, :]])
-    b_area = np.concatenate([wz, wz, wx])
-    b_dist = np.concatenate([np.full(nz, wx[0] / 2),
-                             np.full(nz, wx[-1] / 2),
-                             np.full(nx, wz[-1] / 2)])
-    return fi, fj, area, di, dj, bc, b_area, b_dist
-
-
 @dataclass
 class FvSystem:
     """Assembled conductance Laplacian with a reusable factorization."""
@@ -125,10 +95,6 @@ class FvSystem:
     sigma: np.ndarray
     L: sp.csr_matrix
     _lu: spla.SuperLU = field(repr=False)
-    _geom: tuple = field(repr=False)
-    # per-survey forward cache, filled by dcr_predict
-    _phi: np.ndarray | None = field(default=None, repr=False)
-    _phi_survey: DcrSurvey | None = field(default=None, repr=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Direct solve with residual check and an iterative fallback."""
@@ -160,7 +126,7 @@ def assemble_system(mesh: TensorMesh, sigma: np.ndarray) -> FvSystem:
     if np.any(sigma <= 0):
         raise ValueError("conductivity must be positive everywhere")
 
-    fi, fj, area, di, dj, bc, b_area, b_dist = geom = _face_geometry(mesh)
+    fi, fj, area, di, dj, bc, b_area, b_dist = mesh.faces
     g = area / (di / sigma[fi] + dj / sigma[fj])
     gb = b_area * sigma[bc] / b_dist
 
@@ -173,7 +139,7 @@ def assemble_system(mesh: TensorMesh, sigma: np.ndarray) -> FvSystem:
         lu = spla.splu(L.tocsc())
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
-    return FvSystem(mesh=mesh, sigma=sigma, L=L, _lu=lu, _geom=geom)
+    return FvSystem(mesh=mesh, sigma=sigma, L=L, _lu=lu)
 
 
 def electrode_cells(mesh: TensorMesh, survey: DcrSurvey) -> np.ndarray:
@@ -199,127 +165,130 @@ def electrode_cells(mesh: TensorMesh, survey: DcrSurvey) -> np.ndarray:
     return cells
 
 
-def _ensure_forward(system: FvSystem, survey: DcrSurvey) -> np.ndarray:
-    if system._phi is not None and system._phi_survey is survey:
-        return system._phi
-    cells = electrode_cells(system.mesh, survey)
-    n = system.mesh.n_cells
-    B = np.zeros((n, len(survey.src_dipoles)))
-    for s, (ia, ib) in enumerate(survey.src_dipoles):
-        B[cells[ia], s] += survey.current
-        B[cells[ib], s] -= survey.current
-    phi = system.solve(B)
-    system._phi = phi
-    system._phi_survey = survey
-    return phi
+class PolePotentials:
+    """The DC forward map linearized at one conductivity model.
+
+    Construction makes one solve with one column per electrode, the survey
+    current injected at that electrode's cell: the pole potentials
+    Phi = L^-1 (I E), shape (n_cells, n_elec) (Rücker, Günther & Spitzer
+    2006, GJI 166).  A datum is the superposition
+    d = P[M, A] - P[M, B] - P[N, A] + P[N, B] of the electrode potentials
+    P = Phi[electrode cells].  L is symmetric, so by reciprocity the adjoint
+    field of receiver dipole (M, N) is (Phi[:, M] - Phi[:, N]) / I
+    (McGillivray & Oldenburg 1990, Geophys. Prosp. 38) and the derivative
+    of a datum is -(Phi_M - Phi_N)^T dL (Phi_A - Phi_B) / I.  ``jvp``
+    gathers it from the weighted Gram Phi^T dL Phi (n_elec x n_elec) and
+    ``gradient`` is its transpose, so neither solves.  Derivatives are with
+    respect to active-cell log10-conductivity; padding is frozen.
+    """
+
+    def __init__(self, system: FvSystem, survey: DcrSurvey,
+                 cells: np.ndarray | None = None):
+        if cells is None:
+            cells = electrode_cells(system.mesh, survey)
+        n_elec = len(cells)
+        rhs = np.zeros((system.mesh.n_cells, n_elec))
+        rhs[cells, np.arange(n_elec)] = survey.current
+        # no reference to the system: its factorization is freed with it
+        self.mesh = system.mesh
+        self.sigma = system.sigma
+        self.survey = survey
+        self.phi = system.solve(rhs)
+        self.data = self._gather(self.phi[cells])
+
+    def _gather(self, p: np.ndarray) -> np.ndarray:
+        """Dipole-dipole data from an electrode-by-electrode matrix."""
+        a, b, m, n = self.survey.abmn.T
+        return (p[m, a] - p[m, b]) - (p[n, a] - p[n, b])
+
+    @cached_property
+    def _dg(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """dg/dsigma on either side of interior faces and at boundary faces."""
+        fi, fj, area, di, dj, bc, b_area, b_dist = self.mesh.faces
+        s = self.sigma
+        g = area / (di / s[fi] + dj / s[fj])
+        return (g * g * di / (area * s[fi] ** 2),
+                g * g * dj / (area * s[fj] ** 2), b_area / b_dist)
+
+    def _face_potentials(self) -> tuple[np.ndarray, np.ndarray]:
+        """Pole potentials: drops across interior faces, boundary values."""
+        fi, fj, *_, bc, _, _ = self.mesh.faces
+        return self.phi[fi] - self.phi[fj], self.phi[bc]
+
+    def gradient(self, cotangent: np.ndarray) -> np.ndarray:
+        """Gradient of (cotangent . data) w.r.t. active log10-conductivity."""
+        v = np.asarray(cotangent, dtype=float)
+        if v.shape != (self.survey.n_data,):
+            raise ValueError(
+                f"cotangent must have length {self.survey.n_data}")
+        # W[e, e'] = sum of v over data with receiver electrode e and
+        # source electrode e', signed as in _gather
+        ne = self.phi.shape[1]
+        a, b, m, n = self.survey.abmn.T
+        W = np.bincount(np.concatenate([m * ne + a, m * ne + b,
+                                        n * ne + a, n * ne + b]),
+                        np.concatenate([v, -v, -v, v]),
+                        minlength=ne * ne).reshape(ne, ne)
+        dphi, phib = self._face_potentials()
+        wf = np.einsum("fe,fe->f", dphi @ W, dphi)
+        wb = np.einsum("fe,fe->f", phib @ W, phib)
+
+        fi, fj, *_, bc, _, _ = self.mesh.faces
+        dg_i, dg_j, dgb = self._dg
+        nc = self.mesh.n_cells
+        grad_sigma = (np.bincount(fi, wf * dg_i, nc)
+                      + np.bincount(fj, wf * dg_j, nc)
+                      + np.bincount(bc, wb * dgb, nc))
+        grad_sigma *= -1.0 / self.survey.current
+        act = self.mesh.active_indices
+        return grad_sigma[act] * self.sigma[act] * LN10
+
+    def jvp(self, dm: np.ndarray) -> np.ndarray:
+        """Derivative of the data along dm in active log10-conductivity."""
+        dm = np.asarray(dm, dtype=float)
+        act = self.mesh.active_indices
+        if dm.shape != (len(act),):
+            raise ValueError(
+                f"dm must have {len(act)} entries, got {dm.shape}")
+        dsigma = np.zeros(self.mesh.n_cells)
+        dsigma[act] = self.sigma[act] * LN10 * dm
+
+        fi, fj, *_, bc, _, _ = self.mesh.faces
+        dg_i, dg_j, dgb = self._dg
+        dg = dg_i * dsigma[fi] + dg_j * dsigma[fj]
+        dphi, phib = self._face_potentials()
+        gram = dphi.T @ (dg[:, None] * dphi) \
+            + phib.T @ ((dgb * dsigma[bc])[:, None] * phib)
+        return self._gather(gram) * (-1.0 / self.survey.current)
 
 
 def dcr_predict(system: FvSystem, survey: DcrSurvey) -> np.ndarray:
-    """Potential differences phi(M) - phi(N) in volts, one solve per source."""
-    phi = _ensure_forward(system, survey)
-    cells = electrode_cells(system.mesh, survey)
-    out = np.empty(survey.n_data)
-    k = 0
-    for s in range(len(survey.src_dipoles)):
-        for (im, in_) in survey.rx_dipoles[s]:
-            out[k] = phi[cells[im], s] - phi[cells[in_], s]
-            k += 1
-    return out
-
-
-def _conductance_derivs(system: FvSystem):
-    """dg/dsigma on both sides of every face at the current conductivity."""
-    fi, fj, area, di, dj, bc, b_area, b_dist = system._geom
-    sigma = system.sigma
-    den = di / sigma[fi] + dj / sigma[fj]
-    g = area / den
-    dg_i = g * g * di / (area * sigma[fi] ** 2)
-    dg_j = g * g * dj / (area * sigma[fj] ** 2)
-    dgb = b_area / b_dist
-    return fi, fj, bc, dg_i, dg_j, dgb
-
-
-def _adjoint_rhs(system: FvSystem, survey: DcrSurvey,
-                 cotangent: np.ndarray) -> np.ndarray:
-    cells = electrode_cells(system.mesh, survey)
-    n = system.mesh.n_cells
-    R = np.zeros((n, len(survey.src_dipoles)))
-    k = 0
-    for s in range(len(survey.src_dipoles)):
-        for (im, in_) in survey.rx_dipoles[s]:
-            R[cells[im], s] += cotangent[k]
-            R[cells[in_], s] -= cotangent[k]
-            k += 1
-    return R
+    """Potential differences phi(M) - phi(N) in volts, one pole solve."""
+    return PolePotentials(system, survey).data
 
 
 def dcr_gradient(system: FvSystem, survey: DcrSurvey,
                  cotangent: np.ndarray) -> np.ndarray:
-    """Adjoint-state gradient of (cotangent . data) w.r.t. log10-conductivity.
+    """Gradient of (cotangent . data) w.r.t. active log10-conductivity.
 
-    One adjoint solve per source; the chain rule runs through
-    sigma = 10**m on active cells only (padding is frozen), so the result
-    has one entry per active cell.
+    One pole solve; see :class:`PolePotentials`.  The chain rule runs
+    through sigma = 10**m on active cells only (padding is frozen), so the
+    result has one entry per active cell.
     """
-    cotangent = np.asarray(cotangent, dtype=float)
-    if cotangent.shape != (survey.n_data,):
-        raise ValueError(f"cotangent must have length {survey.n_data}")
-    phi = _ensure_forward(system, survey)
-    lam = system.solve(_adjoint_rhs(system, survey, cotangent))
-
-    fi, fj, bc, dg_i, dg_j, dgb = _conductance_derivs(system)
-    # sum over sources of (lam_i - lam_j)(phi_i - phi_j) per face
-    wf = np.einsum("fs,fs->f", lam[fi] - lam[fj], phi[fi] - phi[fj])
-    wb = np.einsum("fs,fs->f", lam[bc], phi[bc])
-
-    grad_sigma = np.zeros(system.mesh.n_cells)
-    np.add.at(grad_sigma, fi, wf * dg_i)
-    np.add.at(grad_sigma, fj, wf * dg_j)
-    np.add.at(grad_sigma, bc, wb * dgb)
-    grad_sigma *= -1.0
-
-    act = system.mesh.active_indices
-    return grad_sigma[act] * system.sigma[act] * LN10
+    return PolePotentials(system, survey).gradient(cotangent)
 
 
 def dcr_jvp(system: FvSystem, survey: DcrSurvey, dm: np.ndarray) -> np.ndarray:
     """Directional derivative of the data w.r.t. active log10-conductivity."""
-    dm = np.asarray(dm, dtype=float)
-    act = system.mesh.active_indices
-    if dm.shape != (len(act),):
-        raise ValueError(f"dm must have {len(act)} entries, got {dm.shape}")
-    phi = _ensure_forward(system, survey)
-
-    dsigma = np.zeros(system.mesh.n_cells)
-    dsigma[act] = system.sigma[act] * LN10 * dm
-
-    fi, fj, bc, dg_i, dg_j, dgb = _conductance_derivs(system)
-    dg = dg_i * dsigma[fi] + dg_j * dsigma[fj]
-    dgb_full = dgb * dsigma[bc]
-
-    # R = (dL) Phi, then dPhi = -L^{-1} R
-    R = np.zeros_like(phi)
-    flux = dg[:, None] * (phi[fi] - phi[fj])
-    np.add.at(R, fi, flux)
-    np.add.at(R, fj, -flux)
-    np.add.at(R, bc, dgb_full[:, None] * phi[bc])
-    dphi = -system.solve(R)
-
-    cells = electrode_cells(system.mesh, survey)
-    out = np.empty(survey.n_data)
-    k = 0
-    for s in range(len(survey.src_dipoles)):
-        for (im, in_) in survey.rx_dipoles[s]:
-            out[k] = dphi[cells[im], s] - dphi[cells[in_], s]
-            k += 1
-    return out
+    return PolePotentials(system, survey).jvp(dm)
 
 
 class DcrSimulator:
     """Nonlinear forward map over active-cell log10-conductivity.
 
     ``predict`` reassembles and refactorizes the FV system for the given
-    model; ``gradient``/``jvp`` linearize at the most recent predict.
+    model and keeps its :class:`PolePotentials`; ``gradient``/``jvp``
+    linearize at the most recent predict without a solve.
     """
 
     def __init__(self, mesh: TensorMesh, survey: DcrSurvey,
@@ -329,8 +298,8 @@ class DcrSimulator:
         self.mesh = mesh
         self.survey = survey
         self.background_sigma = background_sigma
-        self._system: FvSystem | None = None
-        electrode_cells(mesh, survey)  # validate geometry up front
+        self._cells = electrode_cells(mesh, survey)  # validates geometry
+        self._poles: PolePotentials | None = None
 
     @property
     def n_data(self) -> int:
@@ -341,21 +310,21 @@ class DcrSimulator:
         return self.mesh.n_active
 
     def predict(self, m: np.ndarray) -> np.ndarray:
-        from nfinv.mesh import embed_core
         sigma_full = embed_core(self.mesh, 10.0 ** np.asarray(m, dtype=float),
                                 self.background_sigma)
-        self._system = assemble_system(self.mesh, sigma_full)
-        return dcr_predict(self._system, self.survey)
+        self._poles = PolePotentials(assemble_system(self.mesh, sigma_full),
+                                     self.survey, self._cells)
+        return self._poles.data
 
     def gradient(self, cotangent: np.ndarray) -> np.ndarray:
-        if self._system is None:
+        if self._poles is None:
             raise SolverError("gradient requested before any predict")
-        return dcr_gradient(self._system, self.survey, cotangent)
+        return self._poles.gradient(cotangent)
 
     def jvp(self, dm: np.ndarray) -> np.ndarray:
-        if self._system is None:
+        if self._poles is None:
             raise SolverError("jvp requested before any predict")
-        return dcr_jvp(self._system, self.survey, dm)
+        return self._poles.jvp(dm)
 
 
 def apparent_resistivity(survey: DcrSurvey, data: np.ndarray) -> np.ndarray:
@@ -364,19 +333,10 @@ def apparent_resistivity(survey: DcrSurvey, data: np.ndarray) -> np.ndarray:
     Uses the half-plane geometric factor: dV = (rho I / pi)
     ln(r_BM r_AN / (r_AM r_BN)).
     """
-    xs = survey.electrode_x
-    out = np.empty(survey.n_data)
-    k = 0
-    for s, (ia, ib) in enumerate(survey.src_dipoles):
-        for (im, in_) in survey.rx_dipoles[s]:
-            r_am = abs(xs[im] - xs[ia])
-            r_bm = abs(xs[im] - xs[ib])
-            r_an = abs(xs[in_] - xs[ia])
-            r_bn = abs(xs[in_] - xs[ib])
-            geom = np.log(r_bm * r_an / (r_am * r_bn))
-            out[k] = np.pi * data[k] / (survey.current * geom)
-            k += 1
-    return out
+    xa, xb, xm, xn = survey.electrode_x[survey.abmn].T
+    geom = np.log(np.abs(xm - xb) * np.abs(xn - xa)
+                  / (np.abs(xm - xa) * np.abs(xn - xb)))
+    return np.pi * np.asarray(data, dtype=float) / (survey.current * geom)
 
 
 def write_dcr_data_csv(path, survey: DcrSurvey, data_v: np.ndarray,
@@ -385,25 +345,16 @@ def write_dcr_data_csv(path, survey: DcrSurvey, data_v: np.ndarray,
     """Columns: A_x, B_x, M_x, N_x, dV_volts, uncertainty_volts[, rho_app]."""
     unc = np.broadcast_to(np.asarray(uncertainty_v, dtype=float),
                           np.shape(data_v))
-    rho = apparent_resistivity(survey, data_v) \
-        if include_apparent_resistivity else None
-    xs = survey.electrode_x
+    header = ["A_x", "B_x", "M_x", "N_x", "dV_volts", "uncertainty_volts"]
+    cols = [survey.electrode_x[survey.abmn], data_v, unc]
+    if include_apparent_resistivity:
+        header.append("rho_app_ohm_m")
+        cols.append(apparent_resistivity(survey, data_v))
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        header = ["A_x", "B_x", "M_x", "N_x", "dV_volts", "uncertainty_volts"]
-        if rho is not None:
-            header.append("rho_app_ohm_m")
         w.writerow(header)
-        k = 0
-        for s, (ia, ib) in enumerate(survey.src_dipoles):
-            for (im, in_) in survey.rx_dipoles[s]:
-                row = [repr(float(xs[ia])), repr(float(xs[ib])),
-                       repr(float(xs[im])), repr(float(xs[in_])),
-                       repr(float(data_v[k])), repr(float(unc[k]))]
-                if rho is not None:
-                    row.append(repr(float(rho[k])))
-                w.writerow(row)
-                k += 1
+        for row in np.column_stack(cols):
+            w.writerow([repr(float(v)) for v in row])
 
 
 def read_dcr_data_csv(path) -> tuple[np.ndarray, np.ndarray]:

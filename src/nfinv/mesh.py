@@ -78,6 +78,39 @@ class TensorMesh:
     def active_indices(self) -> np.ndarray:
         return np.flatnonzero(self.active_mask)
 
+    @cached_property
+    def faces(self) -> tuple[np.ndarray, ...]:
+        """Cell faces for finite volumes, built once per mesh.
+
+        Returns (fi, fj, area, di, dj, bc, b_area, b_dist): the interior
+        faces between cells fi and fj with their area and the center-to-face
+        distances on either side, then the boundary faces of cells bc on the
+        left, right and bottom sides (the top is the ground surface) with
+        their area and center-to-face distance.  Corner cells have two.
+        """
+        nx, nz = self.nx_full, self.nz_full
+        wx, wz = self.x_widths, self.z_widths
+        idx = np.arange(nx * nz).reshape(nz, nx)
+
+        # x-oriented faces (neighbors in x), then z-oriented ones
+        fi = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+        fj = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+        area = np.concatenate([np.repeat(wz, nx - 1), np.tile(wx, nz - 1)])
+        di = np.concatenate([np.tile(wx[:-1] / 2, nz),
+                             np.repeat(wz[:-1] / 2, nx)])
+        dj = np.concatenate([np.tile(wx[1:] / 2, nz),
+                             np.repeat(wz[1:] / 2, nx)])
+
+        bc = np.concatenate([idx[:, 0], idx[:, -1], idx[-1, :]])
+        b_area = np.concatenate([wz, wz, wx])
+        b_dist = np.concatenate([np.full(nz, wx[0] / 2),
+                                 np.full(nz, wx[-1] / 2),
+                                 np.full(nx, wz[-1] / 2)])
+        out = (fi, fj, area, di, dj, bc, b_area, b_dist)
+        for arr in out:
+            arr.setflags(write=False)
+        return out
+
     @property
     def core_x_extent(self) -> tuple[float, float]:
         """(left, right) of the core region in meters."""

@@ -74,66 +74,54 @@ def build_crosshole_survey(mesh: TensorMesh, spacing: float) -> CrossholeSurvey:
     return CrossholeSurvey(src, rx, x_right - x_left)
 
 
-def _trace_ray(mesh: TensorMesh, p0: np.ndarray, p1: np.ndarray):
-    """Cells crossed by segment p0 -> p1 and the length inside each.
+def build_ray_matrix(mesh: TensorMesh, survey: CrossholeSurvey) -> RayMatrix:
+    """Assemble exact straight-ray cell-intersection lengths for all pairs.
 
-    Parametric grid traversal: gather every edge crossing as a parameter
-    t in (0, 1), then attribute each sub-interval to the cell containing
-    its midpoint.
+    Parametric grid traversal over all rays at once: each ray's edge
+    crossings t in (0, 1), sorted per ray together with 0 and 1, split it
+    into sub-intervals, and each is attributed to the cell containing its
+    midpoint.  Rays are source-major, as the data.
     """
     xe, ze = mesh.cell_x_edges, mesh.cell_z_edges
+    n_rx = len(survey.rx_positions)
+    p0 = np.repeat(survey.src_positions, n_rx, axis=0)
+    p1 = np.tile(survey.rx_positions, (len(survey.src_positions), 1))
     d = p1 - p0
-    length = float(np.hypot(d[0], d[1]))
-    if length == 0.0:
-        return np.empty(0, dtype=int), np.empty(0)
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    traced = lengths != 0.0
 
     eps = 1e-12 * max(xe[-1] - xe[0], ze[-1] - ze[0])
     for p in (p0, p1):
-        if not (xe[0] - eps <= p[0] <= xe[-1] + eps
-                and ze[0] - eps <= p[1] <= ze[-1] + eps):
-            raise GeometryError(f"ray endpoint {tuple(p)} outside mesh")
+        inside = ((xe[0] - eps <= p[:, 0]) & (p[:, 0] <= xe[-1] + eps)
+                  & (ze[0] - eps <= p[:, 1]) & (p[:, 1] <= ze[-1] + eps))
+        outside = traced & ~inside
+        if np.any(outside):
+            bad = p[np.argmax(outside)]
+            raise GeometryError(f"ray endpoint {tuple(bad)} outside mesh")
 
-    ts = [0.0, 1.0]
-    if d[0] != 0.0:
-        t = (xe - p0[0]) / d[0]
-        ts.append(t[(t > 0.0) & (t < 1.0)])
-    if d[1] != 0.0:
-        t = (ze - p0[1]) / d[1]
-        ts.append(t[(t > 0.0) & (t < 1.0)])
-    ts = np.unique(np.hstack([np.atleast_1d(v) for v in ts]))
+    # crossings outside (0, 1), or along an axis the ray does not move on,
+    # become 1.0: they sort to the end and add only empty intervals
+    parts = [np.zeros((len(d), 1)), np.ones((len(d), 1))]
+    for k, edges in ((0, xe), (1, ze)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (edges - p0[:, k:k + 1]) / d[:, k:k + 1]
+        parts.append(np.where((d[:, k:k + 1] != 0.0) & (t > 0.0) & (t < 1.0),
+                              t, 1.0))
+    ts = np.sort(np.hstack(parts), axis=1)
 
-    seg = np.diff(ts)
-    keep = seg > _T_EPS
-    tm = (ts[:-1] + 0.5 * seg)[keep]
-    mid_x = p0[0] + tm * d[0]
-    mid_z = p0[1] + tm * d[1]
-    ix = np.searchsorted(xe, mid_x, side="right") - 1
-    iz = np.searchsorted(ze, mid_z, side="right") - 1
+    seg = np.diff(ts, axis=1)
+    keep = (seg > _T_EPS) & traced[:, None]
+    rows = np.nonzero(keep)[0]
+    tm = (ts[:, :-1] + 0.5 * seg)[keep]
+    ix = np.searchsorted(xe, p0[rows, 0] + tm * d[rows, 0], side="right") - 1
+    iz = np.searchsorted(ze, p0[rows, 1] + tm * d[rows, 1], side="right") - 1
     if (ix.min(initial=0) < 0 or iz.min(initial=0) < 0
             or ix.max(initial=0) >= mesh.nx_full
             or iz.max(initial=0) >= mesh.nz_full):
         raise GeometryError("ray leaves the mesh between its endpoints")
-    cells = iz * mesh.nx_full + ix
-    return cells, seg[keep] * length
-
-
-def build_ray_matrix(mesh: TensorMesh, survey: CrossholeSurvey) -> RayMatrix:
-    """Assemble exact straight-ray cell-intersection lengths for all pairs."""
-    n_rays = survey.n_data
-    rows, cols, vals = [], [], []
-    lengths = np.zeros(n_rays)
-    i = 0
-    for src in survey.src_positions:
-        for rx in survey.rx_positions:
-            cells, lens = _trace_ray(mesh, src, rx)
-            rows.append(np.full(len(cells), i))
-            cols.append(cells)
-            vals.append(lens)
-            lengths[i] = np.hypot(*(rx - src))
-            i += 1
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_rays, mesh.n_cells)).tocsr()
+    A = sp.coo_matrix((seg[keep] * lengths[rows],
+                       (rows, iz * mesh.nx_full + ix)),
+                      shape=(len(d), mesh.n_cells)).tocsr()
     return RayMatrix(A=A, ray_lengths=lengths)
 
 

@@ -1,9 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
 from nfinv.dcr import (
     DcrSimulator,
     DcrSurvey,
+    FvSystem,
     apparent_resistivity,
     assemble_system,
     build_dipole_dipole_survey,
@@ -15,6 +18,7 @@ from nfinv.dcr import (
     write_dcr_data_csv,
 )
 from nfinv.errors import GeometryError
+from nfinv.manifest import default_manifest
 from nfinv.mesh import build_dcr_mesh, embed_core
 
 
@@ -251,3 +255,197 @@ def test_data_csv_round_trip(tmp_path):
     assert np.array_equal(u2, u)
     header = path.read_text().splitlines()[0]
     assert header.startswith("A_x,B_x,M_x,N_x,dV_volts,uncertainty_volts")
+
+
+# ---------------------------------------------- pole potentials vs dipoles
+
+def desk_case3():
+    """Desk case-3 mesh and its centered dipole-dipole line (78 data)."""
+    mc = default_manifest(3, "conventional")["mesh"]
+    mesh = build_dcr_mesh(mc["nx_core"], mc["nz_core"], mc["dx"], mc["dz"],
+                          mc["n_pad"], mc["pad_factor"])
+    lo, hi = mesh.core_x_extent
+    return mesh, build_dipole_dipole_survey(350.0, 25.0, 24,
+                                            x0=lo + 0.5 * (hi - lo - 350.0))
+
+
+def shared_reordered_survey():
+    """Non-adjacent dipoles sharing electrodes, some listed B before A."""
+    xs = 150.0 + 25.0 * np.arange(8)
+    src = ((0, 3), (5, 2), (6, 1), (3, 4))
+    rx = (((4, 7), (6, 5), (2, 1)),
+          ((7, 0), (3, 6)),
+          ((4, 2), (0, 7), (3, 5)),
+          ((6, 0),))
+    return DcrSurvey(xs, src, rx, current=2.5)
+
+
+def dipole_reference(mesh, survey, m, v, dm):
+    """Data, gradient of v . data and J dm, one solve per dipole.
+
+    The forward fields come from one solve per source dipole, the adjoint
+    fields from one solve per source's receiver dipoles, and J dm from one
+    solve per source of the perturbed operator applied to its field.
+    """
+    sigma = embed_core(mesh, 10.0 ** m, 0.01)
+    system = assemble_system(mesh, sigma)
+    cells = electrode_cells(mesh, survey)
+    n, n_src = mesh.n_cells, len(survey.src_dipoles)
+    fwd = np.zeros((n, n_src))
+    adj = np.zeros((n, n_src))
+    k = 0
+    for s, (a, b) in enumerate(survey.src_dipoles):
+        fwd[cells[a], s] += survey.current
+        fwd[cells[b], s] -= survey.current
+        for mm, nn in survey.rx_dipoles[s]:
+            adj[cells[mm], s] += v[k]
+            adj[cells[nn], s] -= v[k]
+            k += 1
+    phi = system.solve(fwd)
+    lam = system.solve(adj)
+
+    fi, fj, area, di, dj, bc, b_area, b_dist = mesh.faces
+    g = area / (di / sigma[fi] + dj / sigma[fj])
+    dg_i = g * g * di / (area * sigma[fi] ** 2)
+    dg_j = g * g * dj / (area * sigma[fj] ** 2)
+    dgb = b_area / b_dist
+    act = mesh.active_indices
+
+    wf = np.einsum("fs,fs->f", lam[fi] - lam[fj], phi[fi] - phi[fj])
+    wb = np.einsum("fs,fs->f", lam[bc], phi[bc])
+    grad = np.zeros(n)
+    np.add.at(grad, fi, -wf * dg_i)
+    np.add.at(grad, fj, -wf * dg_j)
+    np.add.at(grad, bc, -wb * dgb)
+
+    dsigma = np.zeros(n)
+    dsigma[act] = sigma[act] * np.log(10.0) * dm
+    flux = (dg_i * dsigma[fi] + dg_j * dsigma[fj])[:, None] \
+        * (phi[fi] - phi[fj])
+    r = np.zeros_like(phi)
+    np.add.at(r, fi, flux)
+    np.add.at(r, fj, -flux)
+    np.add.at(r, bc, (dgb * dsigma[bc])[:, None] * phi[bc])
+    dphi = -system.solve(r)
+
+    data, jdm = [], []
+    for s in range(n_src):
+        for mm, nn in survey.rx_dipoles[s]:
+            data.append(phi[cells[mm], s] - phi[cells[nn], s])
+            jdm.append(dphi[cells[mm], s] - dphi[cells[nn], s])
+    return (np.array(data), grad[act] * sigma[act] * np.log(10.0),
+            np.array(jdm))
+
+
+@pytest.mark.parametrize("which", ["desk_dipole_dipole", "shared_reordered",
+                                   "unpadded"])
+def test_pole_potentials_match_dipole_solves(which):
+    mesh, survey = desk_case3()
+    if which == "shared_reordered":
+        survey = shared_reordered_survey()
+    elif which == "unpadded":
+        # boundary faces on active cells: their conductances vary too
+        mesh, survey = build_dcr_mesh(20, 8, 5.0, 5.0, 0, 1.5), small_survey()
+    rng = np.random.default_rng(11)
+    m = -2.0 + rng.normal(0.0, 0.3, mesh.n_active)
+    v = rng.normal(size=survey.n_data)
+    dm = rng.normal(size=mesh.n_active)
+    want = dipole_reference(mesh, survey, m, v, dm)
+
+    sim = DcrSimulator(mesh, survey, background_sigma=0.01)
+    got = (sim.predict(m), sim.gradient(v), sim.jvp(dm))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+    # the free functions are views of the same linearization
+    system = assemble_system(mesh, embed_core(mesh, 10.0 ** m, 0.01))
+    assert np.array_equal(dcr_predict(system, survey), got[0])
+    assert np.array_equal(dcr_gradient(system, survey, v), got[1])
+    assert np.array_equal(dcr_jvp(system, survey, dm), got[2])
+
+
+def test_one_solve_per_predict_and_none_per_product(monkeypatch):
+    mesh, survey = desk_case3()
+    columns = []
+    solve = FvSystem.solve
+
+    def counted(self, b):
+        columns.append(b.shape[1] if b.ndim == 2 else 1)
+        return solve(self, b)
+
+    monkeypatch.setattr(FvSystem, "solve", counted)
+    sim = DcrSimulator(mesh, survey, background_sigma=0.01)
+    rng = np.random.default_rng(12)
+    m = -2.0 + rng.normal(0.0, 0.1, mesh.n_active)
+    sim.predict(m)
+    assert columns == [len(survey.electrode_x)]
+    for _ in range(3):
+        sim.gradient(rng.normal(size=survey.n_data))
+        sim.jvp(rng.normal(size=mesh.n_active))
+    assert columns == [len(survey.electrode_x)]
+    sim.predict(m + 0.1)
+    assert columns == [len(survey.electrode_x)] * 2
+
+
+def test_shared_reordered_reciprocity_and_adjoint():
+    mesh = desk_case3()[0]
+    survey = shared_reordered_survey()
+    swapped = DcrSurvey(survey.electrode_x,
+                        tuple(r for rx in survey.rx_dipoles for r in rx),
+                        tuple((s,) for s, rx in zip(survey.src_dipoles,
+                                                    survey.rx_dipoles)
+                              for _ in rx),
+                        survey.current)
+    rng = np.random.default_rng(13)
+    m = -2.0 + rng.normal(0.0, 0.2, mesh.n_active)
+    sim = DcrSimulator(mesh, survey, background_sigma=0.01)
+    d = sim.predict(m)
+    d_sw = DcrSimulator(mesh, swapped, background_sigma=0.01).predict(m)
+    assert np.max(np.abs(d_sw - d)) <= 1e-8 * np.max(np.abs(d))
+
+    dm = rng.normal(size=mesh.n_active)
+    u = rng.normal(size=survey.n_data)
+    lhs = float(sim.jvp(dm) @ u)
+    rhs = float(dm @ sim.gradient(u))
+    assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-8
+
+
+def loop_data_csv(path, survey, data_v, uncertainty_v):
+    """The per-datum writer the survey index replaced."""
+    xs = survey.electrode_x
+    unc = np.broadcast_to(np.asarray(uncertainty_v, dtype=float),
+                          np.shape(data_v))
+    rho = []
+    for s, (ia, ib) in enumerate(survey.src_dipoles):
+        for im, in_ in survey.rx_dipoles[s]:
+            geom = np.log(abs(xs[im] - xs[ib]) * abs(xs[in_] - xs[ia])
+                          / (abs(xs[im] - xs[ia]) * abs(xs[in_] - xs[ib])))
+            rho.append(np.pi * data_v[len(rho)] / (survey.current * geom))
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["A_x", "B_x", "M_x", "N_x", "dV_volts",
+                    "uncertainty_volts", "rho_app_ohm_m"])
+        k = 0
+        for s, (ia, ib) in enumerate(survey.src_dipoles):
+            for im, in_ in survey.rx_dipoles[s]:
+                w.writerow([repr(float(xs[ia])), repr(float(xs[ib])),
+                            repr(float(xs[im])), repr(float(xs[in_])),
+                            repr(float(data_v[k])), repr(float(unc[k])),
+                            repr(float(rho[k]))])
+                k += 1
+    return np.array(rho)
+
+
+@pytest.mark.parametrize("which", ["desk_dipole_dipole", "shared_reordered"])
+def test_indexed_csv_matches_datum_loop(tmp_path, which):
+    survey = desk_case3()[1] if which == "desk_dipole_dipole" \
+        else shared_reordered_survey()
+    rng = np.random.default_rng(14)
+    d = rng.normal(0.0, 1e-3, survey.n_data)
+    u = np.abs(rng.normal(0.0, 1e-4, survey.n_data))
+    rho = loop_data_csv(tmp_path / "loop.csv", survey, d, u)
+    write_dcr_data_csv(tmp_path / "indexed.csv", survey, d, u)
+    assert (tmp_path / "indexed.csv").read_bytes() \
+        == (tmp_path / "loop.csv").read_bytes()
+    assert np.array_equal(apparent_resistivity(survey, d), rho)

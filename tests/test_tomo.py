@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfinv.errors import GeometryError
-from nfinv.mesh import build_tomo_mesh
+from nfinv.mesh import build_dcr_mesh, build_tomo_mesh
 from nfinv.tomo import (
     CrossholeSurvey,
     TomoSimulator,
@@ -106,6 +107,99 @@ class TestRayMatrix:
                                  np.array([[2.0, 2.0]]), 2.0)
         rm = build_ray_matrix(mesh, survey)
         assert rm.A.sum() == pytest.approx(2 * np.sqrt(2.0), rel=1e-12)
+
+
+def trace_ray_loop(mesh, p0, p1):
+    """Per-ray reference: cells crossed by p0 -> p1 and the length in each."""
+    xe, ze = mesh.cell_x_edges, mesh.cell_z_edges
+    d = p1 - p0
+    length = float(np.hypot(d[0], d[1]))
+    if length == 0.0:
+        return np.empty(0, dtype=int), np.empty(0)
+    eps = 1e-12 * max(xe[-1] - xe[0], ze[-1] - ze[0])
+    for p in (p0, p1):
+        if not (xe[0] - eps <= p[0] <= xe[-1] + eps
+                and ze[0] - eps <= p[1] <= ze[-1] + eps):
+            raise GeometryError(f"ray endpoint {tuple(p)} outside mesh")
+    ts = [0.0, 1.0]
+    if d[0] != 0.0:
+        t = (xe - p0[0]) / d[0]
+        ts.append(t[(t > 0.0) & (t < 1.0)])
+    if d[1] != 0.0:
+        t = (ze - p0[1]) / d[1]
+        ts.append(t[(t > 0.0) & (t < 1.0)])
+    ts = np.unique(np.hstack([np.atleast_1d(v) for v in ts]))
+    seg = np.diff(ts)
+    keep = seg > 1e-12
+    tm = (ts[:-1] + 0.5 * seg)[keep]
+    ix = np.searchsorted(xe, p0[0] + tm * d[0], side="right") - 1
+    iz = np.searchsorted(ze, p0[1] + tm * d[1], side="right") - 1
+    if (ix.min(initial=0) < 0 or iz.min(initial=0) < 0
+            or ix.max(initial=0) >= mesh.nx_full
+            or iz.max(initial=0) >= mesh.nz_full):
+        raise GeometryError("ray leaves the mesh between its endpoints")
+    return iz * mesh.nx_full + ix, seg[keep] * length
+
+
+def ray_matrix_loop(mesh, survey):
+    rows, cols, vals, lengths = [], [], [], []
+    for src in survey.src_positions:
+        for rx in survey.rx_positions:
+            cells, lens = trace_ray_loop(mesh, src, rx)
+            rows.append(np.full(len(cells), len(lengths)))
+            cols.append(cells)
+            vals.append(lens)
+            lengths.append(np.hypot(*(rx - src)))
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(lengths), mesh.n_cells)).tocsr()
+    return A, np.array(lengths)
+
+
+def edge_case_survey():
+    """Rays along grid lines, through or just past grid corners, vertical
+    and empty (the last one passes each corner 1e-11 to 1e-10 apart)."""
+    src = np.array([[0.0, 2.0], [2.0, 0.0], [3.5, 6.0], [0.0, 0.0],
+                    [1.0, 1.0], [0.3, 4.7]])
+    rx = np.array([[6.0, 2.0], [2.0, 7.0], [3.5, 0.5], [6.0, 6.0],
+                   [1.0, 1.0], [4.0, 7.0], [6.0, 6.0 + 6e-10]])
+    return CrossholeSurvey(src, rx, 6.0)
+
+
+@pytest.mark.parametrize("which", ["desk", "edges_uniform", "edges_padded"])
+def test_vectorized_tracer_matches_per_ray_loop(which):
+    if which == "desk":
+        mesh = build_tomo_mesh(32, 64, 1.0, 1.0)
+        survey = build_crosshole_survey(mesh, 1.0)
+    else:
+        mesh = build_tomo_mesh(6, 7, 1.0, 1.0) if which == "edges_uniform" \
+            else build_dcr_mesh(4, 4, 1.0, 1.0, 2, 1.5)
+        survey = edge_case_survey()
+        if which == "edges_padded":
+            survey = CrossholeSurvey(survey.src_positions - [2.5, 0.0],
+                                     survey.rx_positions - [2.5, 0.0], 6.0)
+    A, lengths = ray_matrix_loop(mesh, survey)
+    rm = build_ray_matrix(mesh, survey)
+    assert np.array_equal(rm.A.indptr, A.indptr)
+    assert np.array_equal(rm.A.indices, A.indices)
+    assert np.array_equal(rm.A.data, A.data)
+    assert np.array_equal(rm.ray_lengths, lengths)
+
+
+@pytest.mark.parametrize("where, match", [
+    # an endpoint above the mesh top
+    ([[0.0, 1.0], [0.0, -1.0]], "outside mesh"),
+    # both endpoints within the edge tolerance below the mesh bottom
+    ([[0.0, 1.0], [0.0, 4.0 + 1e-13]], "leaves the mesh"),
+])
+def test_geometry_errors_match_per_ray_loop(where, match):
+    mesh = build_tomo_mesh(4, 4, 1.0, 1.0)
+    src = np.array(where)
+    rx = np.array([[4.0, src[1, 1]]])
+    with pytest.raises(GeometryError, match=match):
+        trace_ray_loop(mesh, src[1], rx[0])
+    with pytest.raises(GeometryError, match=match):
+        build_ray_matrix(mesh, CrossholeSurvey(src, rx, 4.0))
 
 
 class TestPredict:
