@@ -69,7 +69,6 @@ from nfinv.inversion import (
     InversionResult,
     Regularization,
     RegularizationConfig,
-    beta,
     conventional_invert,
     data_misfit,
     nfs_invert,
@@ -107,7 +106,6 @@ __all__ = [
     "add_noise",
     "analyze_trained_network",
     "assemble_system",
-    "beta",
     "build_crosshole_survey",
     "build_dcr_mesh",
     "build_dipole_dipole_survey",

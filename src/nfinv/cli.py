@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--mode", choices=["auto", "exact", "randomized"],
-                   default="auto")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("render", help="render a grid CSV to a PNG heatmap")
@@ -109,29 +107,20 @@ def _verb_invert(args) -> int:
 
 
 def _verb_svd(args) -> int:
-    from nfinv.encoding import EncodingConfig, encode
-    from nfinv.manifest import load_manifest, sub_seed
+    from nfinv.manifest import load_manifest
     from nfinv.neural_field import load_checkpoint
-    from nfinv.runner import assemble
+    from nfinv.runner import assemble, encode_cells
     from nfinv.svd_analysis import analyze_trained_network
-    from nfinv.mesh import normalized_centers
 
     man = load_manifest(args.manifest)
+    # --k is validated as svd.k when assemble checks the manifest
+    man["svd"] = {"k": args.k}
     asm = assemble(man)
-    enc_cfg = man["encoding"]
-    lo, hi = enc_cfg["coord_range"]
-    grid = normalized_centers(asm.mesh, lo, hi)
-    config = EncodingConfig(
-        kind=enc_cfg["kind"], m=enc_cfg.get("m", 8),
-        b_rows=enc_cfg.get("b_rows", 128), b_std=enc_cfg.get("b_std", 0.5),
-        seed=enc_cfg.get("seed", sub_seed(man["seed"], "encoding")))
-    Z = encode(config, grid)
+    _, Z = encode_cells(man, asm.mesh)
     mlp, _ = load_checkpoint(args.checkpoint)
     result = analyze_trained_network(
         mlp, Z, k=args.k, grid_shape=(asm.mesh.nx_core, asm.mesh.nz_core),
-        out_dir=args.out, mode=args.mode,
-        seed=sub_seed(man["seed"], "sketch"),
-        dx=asm.mesh.dx_core, dz=asm.mesh.dz_core)
+        out_dir=args.out, dx=asm.mesh.dx_core, dz=asm.mesh.dz_core)
     print(f"top singular values: {[round(float(v), 6) for v in result.values[:10]]}")
     return 0
 

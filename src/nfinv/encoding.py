@@ -61,15 +61,6 @@ class EncodingConfig:
                 object.__setattr__(self, "b_matrix", b)
             self.b_matrix.setflags(write=False)
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "seed": self.seed, "input_dim": self.input_dim}
-        if self.kind == "linear":
-            d["m"] = self.m
-        if self.kind == "gaussian":
-            d["b_rows"] = self.b_rows
-            d["b_std"] = self.b_std
-        return d
-
 
 @dataclass(frozen=True)
 class EncodedInput:

@@ -57,12 +57,6 @@ class CoolingSchedule:
         return float(np.exp(-t / self.tau))
 
 
-def beta(t: float, schedule: CoolingSchedule) -> float:
-    if t < 0:
-        raise ValueError("epoch index must be >= 0")
-    return schedule.beta(t)
-
-
 @dataclass(frozen=True)
 class RegularizationConfig:
     """Smallness plus directional smoothness with per-term norm exponents.

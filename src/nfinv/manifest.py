@@ -22,7 +22,7 @@ DESK_HIDDEN = [64, 128, 128, 128, 128, 64]
 def sub_seed(master: int, name: str) -> int:
     """Derive a named child seed: sha256 of "master:name", first 4 bytes.
 
-    Gives the init / noise / grf / encoding / sketch streams independent
+    Gives the init / noise / grf / encoding / sens streams independent
     seeds that are stable across runs and platforms.
     """
     digest = hashlib.sha256(f"{master}:{name}".encode()).digest()
@@ -285,9 +285,14 @@ def validate_manifest(man: dict) -> None:
     svd = man.get("svd")
     if svd is not None:
         _require(isinstance(svd, dict), "svd", "must be null or an object")
-        _req_number(man, "svd.k", lo=1)
-        _require(svd.get("mode", "auto") in ("auto", "exact", "randomized"),
-                 "svd.mode", "unknown mode")
+        k = svd.get("k")
+        _require(isinstance(k, int) and not isinstance(k, bool), "svd.k",
+                 f"expected an int, got {k!r}")
+        n_cells = (mesh["nx"] * mesh["nz"] if man["case"] in (1, 2)
+                   else mesh["nx_core"] * mesh["nz_core"])
+        # ARPACK finds fewer eigenpairs than the Gram matrix has rows
+        _require(1 <= k < n_cells, "svd.k",
+                 f"must lie in [1, {n_cells - 1}], got {k}")
 
 
 def load_manifest(path) -> dict:

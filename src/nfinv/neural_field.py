@@ -128,7 +128,7 @@ def _head(raw: np.ndarray, kind: str):
     return raw, np.ones_like(raw)
 
 
-# bytes of one cell block's temporary in matmat / rmatmat
+# bytes of one cell block's temporary in matmat / rmatmat / gram
 _BLOCK_BYTES = 4 * 2 ** 20
 
 
@@ -142,8 +142,9 @@ class JacobianOperator:
     scalar-output network's backprop sensitivities are linear in the
     cotangent, Delta_l(c) = c * Delta_l(1) row by row, so the unit
     sensitivities Delta_l(1), computed on first use, give ``matvec``,
-    ``matmat``, ``rmatmat`` and the dense Jacobian as one GEMM per layer
-    (the per-example gradient identity, Goodfellow, arXiv:1510.01799).
+    ``matmat``, ``rmatmat``, ``gram`` and the dense Jacobian as GEMMs
+    per layer (the per-example gradient identity, Goodfellow,
+    arXiv:1510.01799).
     Every product is exact.  The cache holds the weights at construction:
     build a new operator after changing them.  shape is (n_cells, n_params).
     """
@@ -250,6 +251,22 @@ class JacobianOperator:
             for s in self._blocks(fan_out * r):
                 du = d[s][:, :, None] * u[s][:, None, :]
                 g += x[s].T @ du.reshape(-1, fan_out * r)
+        return out
+
+    def gram(self) -> np.ndarray:
+        """J @ J.T, the (n_cells, n_cells) empirical neural tangent kernel.
+
+        Row i of J holds x_i (x) delta_i and delta_i for each layer, so
+        (J J^T)_ij = sum_l (x_i . x_j + 1) (delta_i . delta_j).
+        """
+        n = self.shape[0]
+        out = np.zeros((n, n))
+        for x, d in zip(self._xs, self._unit_deltas()):
+            for s in self._blocks(n):
+                t = x[s] @ x.T
+                t += 1.0
+                t *= d[s] @ d.T
+                out[s] += t
         return out
 
     def dense(self) -> np.ndarray:

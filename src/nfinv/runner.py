@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nfinv import dcr, tomo
-from nfinv.encoding import EncodingConfig, encode
+from nfinv.encoding import EncodedInput, EncodingConfig, encode
 from nfinv.inversion import (
     Adam,
     CoolingSchedule,
@@ -174,17 +174,22 @@ def _build_regularization(cfg: dict, mesh: TensorMesh) -> Regularization:
                           dx=mesh.dx_core, dz=mesh.dz_core)
 
 
-def run_nfs(man: dict, asm: Assembled, out_dir: str | None = None):
-    """NFs inversion per the manifest; returns (result, mlp, Z)."""
-    seed = man["seed"]
+def encode_cells(man: dict,
+                 mesh: TensorMesh) -> tuple[EncodingConfig, EncodedInput]:
+    """The manifest's encoding and the encoded core-cell centers."""
     enc_cfg = man["encoding"]
     lo, hi = enc_cfg["coord_range"]
-    grid = normalized_centers(asm.mesh, lo, hi)
     config = EncodingConfig(
         kind=enc_cfg["kind"], m=enc_cfg.get("m", 8),
         b_rows=enc_cfg.get("b_rows", 128), b_std=enc_cfg.get("b_std", 0.5),
-        seed=enc_cfg.get("seed", sub_seed(seed, "encoding")))
-    Z = encode(config, grid)
+        seed=enc_cfg.get("seed", sub_seed(man["seed"], "encoding")))
+    return config, encode(config, normalized_centers(mesh, lo, hi))
+
+
+def run_nfs(man: dict, asm: Assembled, out_dir: str | None = None):
+    """NFs inversion per the manifest; returns (result, mlp, Z)."""
+    seed = man["seed"]
+    config, Z = encode_cells(man, asm.mesh)
     if config.kind == "gaussian" and out_dir is not None:
         from nfinv.encoding import write_b_matrix_csv
         write_b_matrix_csv(config, os.path.join(out_dir, "b_matrix.csv"))
@@ -286,13 +291,10 @@ def run_case(man: dict, out_dir) -> dict:
         save_checkpoint(os.path.join(out_dir, "weights_final.ckpt"), mlp,
                         epoch=result.n_epochs)
         if man.get("svd"):
-            svd_cfg = man["svd"]
             analyze_trained_network(
-                mlp, Z, k=int(svd_cfg["k"]),
+                mlp, Z, k=man["svd"]["k"],
                 grid_shape=(asm.mesh.nx_core, asm.mesh.nz_core),
                 out_dir=os.path.join(out_dir, "svd"),
-                mode=svd_cfg.get("mode", "auto"),
-                seed=sub_seed(man["seed"], "sketch"),
                 dx=asm.mesh.dx_core, dz=asm.mesh.dz_core)
     else:
         result = run_conventional(man, asm)

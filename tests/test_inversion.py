@@ -7,7 +7,6 @@ from nfinv.inversion import (
     CoolingSchedule,
     Regularization,
     RegularizationConfig,
-    beta,
     conventional_invert,
     data_misfit,
     estimate_sensitivity_weights,
@@ -63,8 +62,8 @@ class TestDataMisfit:
 class TestBetaSchedule:
     def test_endpoints(self):
         sched = CoolingSchedule(tau=800.0)
-        assert beta(0, sched) == 1.0
-        assert beta(800, sched) == pytest.approx(np.exp(-1.0), rel=1e-15)
+        assert sched.beta(0) == 1.0
+        assert sched.beta(800) == pytest.approx(np.exp(-1.0), rel=1e-15)
 
     def test_strictly_decreasing(self):
         sched = CoolingSchedule(tau=10.0)

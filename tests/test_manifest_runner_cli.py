@@ -209,6 +209,26 @@ class TestCli:
         assert code == 2
         assert "nfs.tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [0, 2.5, 1e9, 12 * 16])
+    def test_bad_svd_k_exit_2(self, tmp_path, capsys, k):
+        # tiny_case1 has 12 x 16 = 192 core cells: k must be an int < 192
+        man = tiny_case1()
+        man["svd"] = {"k": k}
+        path = tmp_path / "bad.json"
+        save_manifest(man, path)
+        assert main(["invert", "--manifest", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "svd.k" in capsys.readouterr().err
+        if k == int(k):
+            # the svd verb's --k goes through the same check
+            man["svd"] = None
+            save_manifest(man, path)
+            assert main(["svd", "--manifest", str(path),
+                         "--checkpoint", str(tmp_path / "unread.ckpt"),
+                         "--k", str(int(k)),
+                         "--out", str(tmp_path / "svd")]) == 2
+            assert "svd.k" in capsys.readouterr().err
+
     def test_numerical_abort_exit_3(self, tmp_path, capsys):
         man = tiny_case1(epochs=5)
         man["network"]["output_activation"] = "none"

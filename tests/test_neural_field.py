@@ -243,6 +243,19 @@ class TestJacobian:
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
 
+    def test_gram_matches_dense(self, monkeypatch):
+        # 8 KB blocks and a prime cell count leave a partial last block
+        monkeypatch.setattr(neural_field, "_BLOCK_BYTES", 8192)
+        mlp = init_kaiming((3, 16, 12, 1), output_activation="sigmoid",
+                           output_scale=1.7, seed=7)
+        z = np.random.default_rng(14).normal(size=(211, 3))
+        op = JacobianOperator(mlp, z)
+        assert any(s.stop > 211 for s in op._blocks(211))
+        j = weight_jacobian(mlp, z)
+        want = j @ j.T
+        np.testing.assert_allclose(op.gram(), want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
     def test_jvp_vjp_adjoint_identity(self):
         mlp = init_kaiming((3, 9, 1), output_activation="sigmoid", seed=8)
         rng = np.random.default_rng(13)

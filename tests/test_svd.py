@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nfinv import svd_analysis
 from nfinv.encoding import EncodingConfig, encode
 from nfinv.errors import CapacityError
 from nfinv.mesh import build_tomo_mesh, normalized_centers
@@ -18,7 +19,7 @@ from nfinv.svd_analysis import analyze_trained_network, truncated_svd
 class TestTruncatedSvd:
     def test_diagonal_matrix(self):
         J = np.diag([3.0, 2.0, 1.0])
-        res = truncated_svd(J, k=2, mode="exact")
+        res = truncated_svd(J, k=2)
         assert np.allclose(res.values, [3.0, 2.0])
         assert np.allclose(np.abs(res.U), np.eye(3)[:, :2])
 
@@ -26,58 +27,43 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(0)
         u = rng.normal(size=12)
         v = rng.normal(size=7)
-        res = truncated_svd(np.outer(u, v), k=2, mode="exact")
+        res = truncated_svd(np.outer(u, v), k=2)
         assert res.values[0] == pytest.approx(
             np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
         assert res.values[1] == pytest.approx(0.0, abs=1e-10)
 
-    def test_randomized_matches_exact(self):
-        # iid Gaussian entries give a nearly flat spectrum, the worst case
-        # for the sketch; extra power iterations recover 1e-3 agreement
+    def test_matches_lapack_flat_spectrum(self):
+        # iid Gaussian entries give a nearly flat spectrum: small gaps
+        # between the Gram eigenvalues
         rng = np.random.default_rng(1)
         J = rng.normal(size=(50, 80))
-        exact = truncated_svd(J, k=10, mode="exact")
-        rand = truncated_svd(J, k=10, mode="randomized", seed=3,
-                             power_iters=6)
-        assert np.max(np.abs(rand.values - exact.values)
-                      / exact.values) < 1e-3
-
-    def test_randomized_matches_exact_decaying_spectrum(self):
-        # default q = 2 suffices once the spectrum decays (the Jacobian case)
-        rng = np.random.default_rng(12)
-        U = np.linalg.qr(rng.normal(size=(50, 50)))[0]
-        V = np.linalg.qr(rng.normal(size=(80, 50)))[0]
-        s = 10.0 * 0.7 ** np.arange(50)
-        J = U @ np.diag(s) @ V.T
-        exact = truncated_svd(J, k=10, mode="exact")
-        rand = truncated_svd(J, k=10, mode="randomized", seed=3)
-        assert np.max(np.abs(rand.values - exact.values)
-                      / exact.values) < 1e-3
+        exact = np.linalg.svd(J, compute_uv=False)[:10]
+        res = truncated_svd(J, k=10)
+        assert np.max(np.abs(res.values - exact) / exact) < 1e-3
 
     def test_orthonormality(self):
         rng = np.random.default_rng(2)
         J = rng.normal(size=(40, 60))
-        for mode in ("exact", "randomized"):
-            res = truncated_svd(J, k=8, mode=mode)
-            assert np.max(np.abs(res.U.T @ res.U - np.eye(8))) < 1e-6
-            assert np.max(np.abs(res.V.T @ res.V - np.eye(8))) < 1e-6
-            assert np.all(np.diff(res.values) <= 1e-12)
+        res = truncated_svd(J, k=8)
+        assert np.max(np.abs(res.U.T @ res.U - np.eye(8))) < 1e-6
+        assert np.max(np.abs(res.V.T @ res.V - np.eye(8))) < 1e-6
+        assert np.all(np.diff(res.values) <= 1e-12)
 
     def test_reconstruction_tail_bound(self):
         rng = np.random.default_rng(3)
         J = rng.normal(size=(25, 30))
         k = 10
-        res = truncated_svd(J, k=k, mode="exact")
+        res = truncated_svd(J, k=k)
         approx = res.U @ np.diag(res.values) @ res.V.T
         tail = np.linalg.svd(J, compute_uv=False)[k:]
         bound = np.sqrt(np.sum(tail ** 2))
         assert np.linalg.norm(J - approx, "fro") <= bound * (1 + 1e-10)
 
-    def test_randomized_deterministic_per_seed(self):
+    def test_deterministic(self):
         rng = np.random.default_rng(4)
         J = rng.normal(size=(30, 45))
-        a = truncated_svd(J, k=5, mode="randomized", seed=9)
-        b = truncated_svd(J, k=5, mode="randomized", seed=9)
+        a = truncated_svd(J, k=5)
+        b = truncated_svd(J, k=5)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.U, b.U)
 
@@ -86,45 +72,41 @@ class TestTruncatedSvd:
         z = np.random.default_rng(6).normal(size=(40, 2))
         dense = weight_jacobian(mlp, z)
         op = JacobianOperator(mlp, z)
-        a = truncated_svd(dense, k=6, mode="randomized", seed=1)
-        b = truncated_svd(op, k=6, mode="randomized", seed=1)
+        a = truncated_svd(dense, k=6)
+        b = truncated_svd(op, k=6)
         assert np.allclose(a.values, b.values, rtol=1e-10)
         assert np.allclose(a.U, b.U, rtol=1e-8, atol=1e-10)
 
     def test_k_too_large(self):
-        with pytest.raises(ValueError):
-            truncated_svd(np.eye(4), k=5, mode="exact")
+        # ARPACK needs k < n_rows
+        for k in (4, 5):
+            with pytest.raises(ValueError):
+                truncated_svd(np.eye(4), k=k)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(7)
         J = rng.normal(size=(20, 20))
-        res = truncated_svd(J, k=4, mode="exact")
+        res = truncated_svd(J, k=4)
         for i in range(4):
             assert res.U[np.argmax(np.abs(res.U[:, i])), i] > 0
 
-    def test_method_record(self):
-        res = truncated_svd(np.eye(6), k=2, mode="randomized", seed=11)
-        assert res.method["mode"] == "randomized"
-        assert res.method["oversample"] == 10
-        assert res.method["power_iters"] == 2
-        assert res.method["seed"] == 11
+
+def _identity_net(nx, nz, hidden, **init):
+    mesh = build_tomo_mesh(nx, nz, 1.0, 1.0)
+    z = encode(EncodingConfig(kind="identity"),
+               normalized_centers(mesh, 0.0, 1.0))
+    return init_kaiming((2, *hidden, 1), **init), z
 
 
 class TestAnalyzeTrainedNetwork:
     def test_zero_weight_network_rank_deficient(self):
-        mesh = build_tomo_mesh(8, 10, 1.0, 1.0)
-        z = encode(EncodingConfig(kind="identity"),
-                   normalized_centers(mesh, 0.0, 1.0))
-        mlp = init_kaiming((2, 8, 8, 1), output_activation="sigmoid")
+        mlp, z = _identity_net(8, 10, (8, 8), output_activation="sigmoid")
         set_weights(mlp, np.zeros(mlp.param_count))
         res = analyze_trained_network(mlp, z, k=3, grid_shape=(8, 10))
         assert res.values[1] / res.values[0] < 1e-12
 
     def test_exports(self, tmp_path):
-        mesh = build_tomo_mesh(6, 9, 1.0, 1.0)
-        z = encode(EncodingConfig(kind="identity"),
-                   normalized_centers(mesh, 0.0, 1.0))
-        mlp = init_kaiming((2, 16, 16, 1), seed=8)
+        mlp, z = _identity_net(6, 9, (16, 16), seed=8)
         out = tmp_path / "svd"
         res = analyze_trained_network(mlp, z, k=4, grid_shape=(6, 9),
                                       out_dir=out)
@@ -133,19 +115,27 @@ class TestAnalyzeTrainedNetwork:
             assert (out / f"u_{i:03d}.csv").exists()
             assert (out / f"u_{i:03d}.png").exists()
         sidecar = json.loads((out / "svd_manifest.json").read_text())
-        assert sidecar["grid_shape"] == [6, 9]
+        assert sidecar == {"k": 4, "grid_shape": [6, 9],
+                           "param_count": mlp.param_count}
         norms = np.linalg.norm(res.U, axis=0)
         assert np.max(np.abs(norms - 1.0)) < 1e-6
 
-    def test_capacity_guard(self):
-        mesh = build_tomo_mesh(16, 16, 1.0, 1.0)
-        z = encode(EncodingConfig(kind="identity"),
-                   normalized_centers(mesh, 0.0, 1.0))
-        mlp = init_kaiming((2, 64, 64, 1), seed=0)
+    def test_exports_are_byte_identical(self, tmp_path):
+        mlp, z = _identity_net(7, 11, (16, 16), seed=3)
+        for run in ("a", "b"):
+            analyze_trained_network(mlp, z, k=5, grid_shape=(7, 11),
+                                    out_dir=tmp_path / run)
+        names = ["spectrum.csv"] + [f"u_{i:03d}.csv" for i in range(5)]
+        for name in names:
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+
+    def test_capacity_guard(self, monkeypatch):
+        # the 256-cell Gram matrix takes 512 KB
+        mlp, z = _identity_net(16, 16, (64, 64), seed=0)
+        monkeypatch.setattr(svd_analysis, "_GRAM_BYTES", 256 * 256 * 8 - 1)
         with pytest.raises(CapacityError):
-            analyze_trained_network(mlp, z, k=2, grid_shape=(16, 16),
-                                    mode="exact", max_bytes=10_000)
-        # auto falls back to the matrix-free path
-        res = analyze_trained_network(mlp, z, k=2, grid_shape=(16, 16),
-                                      mode="auto", max_bytes=10_000)
-        assert res.method["mode"] == "randomized"
+            analyze_trained_network(mlp, z, k=2, grid_shape=(16, 16))
+        monkeypatch.setattr(svd_analysis, "_GRAM_BYTES", 256 * 256 * 8)
+        res = analyze_trained_network(mlp, z, k=2, grid_shape=(16, 16))
+        assert res.k == 2
