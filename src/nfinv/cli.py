@@ -109,7 +109,7 @@ def _verb_invert(args) -> int:
 def _verb_svd(args) -> int:
     from nfinv.manifest import load_manifest
     from nfinv.neural_field import load_checkpoint
-    from nfinv.runner import assemble, encode_cells
+    from nfinv.runner import assemble, check_svd_k, encode_cells
     from nfinv.svd_analysis import analyze_trained_network
 
     man = load_manifest(args.manifest)
@@ -118,6 +118,7 @@ def _verb_svd(args) -> int:
     asm = assemble(man)
     _, Z = encode_cells(man, asm.mesh)
     mlp, _ = load_checkpoint(args.checkpoint)
+    check_svd_k(man, mlp)
     result = analyze_trained_network(
         mlp, Z, k=args.k, grid_shape=(asm.mesh.nx_core, asm.mesh.nz_core),
         out_dir=args.out, dx=asm.mesh.dx_core, dz=asm.mesh.dz_core)

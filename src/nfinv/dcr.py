@@ -176,10 +176,13 @@ class PolePotentials:
     P = Phi[electrode cells].  L is symmetric, so by reciprocity the adjoint
     field of receiver dipole (M, N) is (Phi[:, M] - Phi[:, N]) / I
     (McGillivray & Oldenburg 1990, Geophys. Prosp. 38) and the derivative
-    of a datum is -(Phi_M - Phi_N)^T dL (Phi_A - Phi_B) / I.  ``jvp``
-    gathers it from the weighted Gram Phi^T dL Phi (n_elec x n_elec) and
-    ``gradient`` is its transpose, so neither solves.  Derivatives are with
-    respect to active-cell log10-conductivity; padding is frozen.
+    of a datum is -(Phi_M - Phi_N)^T dL (Phi_A - Phi_B) / I.  Neither
+    derivative solves: ``gradient`` contracts the face potentials with the
+    cotangent scattered onto electrode pairs (one product per call), and
+    ``sensitivity`` forms the whole Jacobian, n_data x n_active, once per
+    linearization for callers that take many products (``jvp`` is
+    ``sensitivity @ dm``).  Derivatives are with respect to active-cell
+    log10-conductivity; padding is frozen.
     """
 
     def __init__(self, system: FvSystem, survey: DcrSurvey,
@@ -210,10 +213,15 @@ class PolePotentials:
         return (g * g * di / (area * s[fi] ** 2),
                 g * g * dj / (area * s[fj] ** 2), b_area / b_dist)
 
-    def _face_potentials(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pole potentials: drops across interior faces, boundary values."""
-        fi, fj, *_, bc, _, _ = self.mesh.faces
-        return self.phi[fi] - self.phi[fj], self.phi[bc]
+    @property
+    def _live_boundary(self) -> bool:
+        """Whether a boundary face touches an active cell.
+
+        The Dirichlet faces lie on the outermost left, right and bottom
+        cells, which are frozen padding on every padded mesh; their terms
+        then only reach cells the derivatives drop.
+        """
+        return bool(self.mesh.active_mask[self.mesh.faces[5]].any())
 
     def gradient(self, cotangent: np.ndarray) -> np.ndarray:
         """Gradient of (cotangent . data) w.r.t. active log10-conductivity."""
@@ -229,37 +237,73 @@ class PolePotentials:
                                         n * ne + a, n * ne + b]),
                         np.concatenate([v, -v, -v, v]),
                         minlength=ne * ne).reshape(ne, ne)
-        dphi, phib = self._face_potentials()
-        wf = np.einsum("fe,fe->f", dphi @ W, dphi)
-        wb = np.einsum("fe,fe->f", phib @ W, phib)
-
         fi, fj, *_, bc, _, _ = self.mesh.faces
         dg_i, dg_j, dgb = self._dg
+        dphi = self.phi[fi] - self.phi[fj]
+        wf = np.einsum("fe,fe->f", dphi @ W, dphi)
         nc = self.mesh.n_cells
-        grad_sigma = (np.bincount(fi, wf * dg_i, nc)
-                      + np.bincount(fj, wf * dg_j, nc)
-                      + np.bincount(bc, wb * dgb, nc))
+        grad_sigma = np.bincount(fi, wf * dg_i, nc) \
+            + np.bincount(fj, wf * dg_j, nc)
+        if self._live_boundary:
+            phib = self.phi[bc]
+            wb = np.einsum("fe,fe->f", phib @ W, phib)
+            grad_sigma += np.bincount(bc, wb * dgb, nc)
         grad_sigma *= -1.0 / self.survey.current
         act = self.mesh.active_indices
         return grad_sigma[act] * self.sigma[act] * LN10
 
+    def _face_to_active(self, face_cells, dg) -> sp.csr_matrix:
+        """Scatter of per-face values onto active cells, scaled to d/dm.
+
+        Entry (c, f) is d(datum)/d(m_c) per unit potential product at face
+        f: dg/dsigma of the face on cell c's side, times dsigma/dm and the
+        -1/I of the superposition.
+        """
+        mesh = self.mesh
+        col = np.full(mesh.n_cells, -1)
+        col[mesh.active_indices] = np.arange(mesh.n_active)
+        scale = self.sigma * (-LN10 / self.survey.current)
+        faces = np.tile(np.arange(len(dg[0])), len(face_cells))
+        cells = np.concatenate(face_cells)
+        vals = np.concatenate(dg) * scale[cells]
+        keep = col[cells] >= 0
+        return sp.csr_matrix((vals[keep], (col[cells[keep]], faces[keep])),
+                             shape=(mesh.n_active, len(dg[0])))
+
+    @cached_property
+    def sensitivity(self) -> np.ndarray:
+        """Jacobian of the data w.r.t. active log10-conductivity.
+
+        Shape (n_data, n_active).  Row d scatters the face-wise product of
+        the receiver and source dipole potential drops onto cells.  The
+        rows are formed one source dipole at a time, so the per-face
+        temporaries hold only that source's receivers.
+        """
+        fi, fj, *_, bc, _, _ = self.mesh.faces
+        dg_i, dg_j, dgb = self._dg
+        terms = [(self.phi[fi] - self.phi[fj],
+                  self._face_to_active((fi, fj), (dg_i, dg_j)))]
+        if self._live_boundary:
+            terms.append((self.phi[bc], self._face_to_active((bc,), (dgb,))))
+        abmn = self.survey.abmn
+        new_src = np.any(abmn[1:, :2] != abmn[:-1, :2], axis=1)
+        edges = np.concatenate([[0], np.flatnonzero(new_src) + 1,
+                                [len(abmn)]])
+        J = np.empty((len(abmn), self.mesh.n_active))
+        for d in map(slice, edges[:-1], edges[1:]):
+            a, b = abmn[d.start, :2]
+            m, n = abmn[d, 2], abmn[d, 3]
+            J[d] = sum(C @ ((p[:, m] - p[:, n]) * (p[:, a] - p[:, b])[:, None])
+                       for p, C in terms).T
+        return J
+
     def jvp(self, dm: np.ndarray) -> np.ndarray:
         """Derivative of the data along dm in active log10-conductivity."""
         dm = np.asarray(dm, dtype=float)
-        act = self.mesh.active_indices
-        if dm.shape != (len(act),):
+        if dm.shape != (self.mesh.n_active,):
             raise ValueError(
-                f"dm must have {len(act)} entries, got {dm.shape}")
-        dsigma = np.zeros(self.mesh.n_cells)
-        dsigma[act] = self.sigma[act] * LN10 * dm
-
-        fi, fj, *_, bc, _, _ = self.mesh.faces
-        dg_i, dg_j, dgb = self._dg
-        dg = dg_i * dsigma[fi] + dg_j * dsigma[fj]
-        dphi, phib = self._face_potentials()
-        gram = dphi.T @ (dg[:, None] * dphi) \
-            + phib.T @ ((dgb * dsigma[bc])[:, None] * phib)
-        return self._gather(gram) * (-1.0 / self.survey.current)
+                f"dm must have {self.mesh.n_active} entries, got {dm.shape}")
+        return self.sensitivity @ dm
 
 
 def dcr_predict(system: FvSystem, survey: DcrSurvey) -> np.ndarray:
@@ -287,8 +331,11 @@ class DcrSimulator:
     """Nonlinear forward map over active-cell log10-conductivity.
 
     ``predict`` reassembles and refactorizes the FV system for the given
-    model and keeps its :class:`PolePotentials`; ``gradient``/``jvp``
-    linearize at the most recent predict without a solve.
+    model and keeps its :class:`PolePotentials`, dropping the previous one
+    before the solve when it holds a Jacobian.  ``gradient``, ``jvp`` and
+    ``sensitivity`` linearize at the most recent predict without a solve;
+    the explicit sensitivity is built on first use and kept until the next
+    predict, so a caller that takes one adjoint per model never builds it.
     """
 
     def __init__(self, mesh: TensorMesh, survey: DcrSurvey,
@@ -312,19 +359,31 @@ class DcrSimulator:
     def predict(self, m: np.ndarray) -> np.ndarray:
         sigma_full = embed_core(self.mesh, 10.0 ** np.asarray(m, dtype=float),
                                 self.background_sigma)
+        # A built Jacobian goes before the next factorization, which would
+        # otherwise raise the peak RSS.  Without one the old fields stay
+        # until the new ones exist: freeing them first lets the allocator
+        # return their pages and fault them in again (~5,000 minor faults,
+        # ~13 ms per full-scale predict).
+        if self._poles is not None and "sensitivity" in vars(self._poles):
+            self._poles = None
         self._poles = PolePotentials(assemble_system(self.mesh, sigma_full),
                                      self.survey, self._cells)
         return self._poles.data
 
-    def gradient(self, cotangent: np.ndarray) -> np.ndarray:
+    def _linearization(self, what: str) -> PolePotentials:
         if self._poles is None:
-            raise SolverError("gradient requested before any predict")
-        return self._poles.gradient(cotangent)
+            raise SolverError(f"{what} requested before any predict")
+        return self._poles
+
+    def gradient(self, cotangent: np.ndarray) -> np.ndarray:
+        return self._linearization("gradient").gradient(cotangent)
 
     def jvp(self, dm: np.ndarray) -> np.ndarray:
-        if self._poles is None:
-            raise SolverError("jvp requested before any predict")
-        return self._poles.jvp(dm)
+        return self._linearization("jvp").jvp(dm)
+
+    def sensitivity(self) -> np.ndarray:
+        """The data Jacobian J (n_data x n_active) at the last predict."""
+        return self._linearization("sensitivity").sensitivity
 
 
 def apparent_resistivity(survey: DcrSurvey, data: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Objective assembly and the inversion drivers.
 
-Two solvers share the physics interface (predict / gradient / jvp):
+Two solvers share the physics interface (predict / gradient, plus
+sensitivity for the model-space inversion):
 
 * the reparameterized inversion, where a coordinate network produces the
   model and Adam updates its weights through a surrogate loss built from
@@ -12,7 +13,7 @@ Two solvers share the physics interface (predict / gradient / jvp):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -228,6 +229,9 @@ class InversionResult:
     converged: bool
     final_misfit: float
     status: str = "ok"
+    # Gauss-Newton CG exit code per outer iteration (> 0: maxiter reached)
+    cg_info: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=int))
 
     @property
     def n_epochs(self) -> int:
@@ -363,7 +367,14 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
     gauss_newton: inexact Newton with conjugate-gradient inner solves on
     J^T W^2 J + beta * H_reg, a backtracking line search, multiplicative
     beta cooling between outer iterations, and IRLS weight refreshes (with
-    epsilon cooling) when any norm exponent is below 2.
+    epsilon cooling) when any norm exponent is below 2.  Each CG product
+    is two matrix-vector products with the simulator's explicit
+    ``sensitivity()``; the CG exit codes are returned as ``cg_info``.
+
+    The simulator is linearized once per accepted model: the prediction
+    of the accepted line-search trial is kept, so an iteration makes one
+    ``predict`` per trial and none at its start, and the final misfit is
+    that of the last accepted prediction.
 
     With ``target_misfit`` the run stops at the first iterate whose data
     misfit is at or below the target and returns that iterate as is; there
@@ -376,7 +387,7 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
     m = np.asarray(m0, dtype=float).copy()
     w = np.asarray(w_d, dtype=float)
     beta_t = beta0
-    misfits, betas, regs, clocks = [], [], [], []
+    misfits, betas, regs, clocks, cg_info = [], [], [], [], []
     converged = False
     status = "ok"
 
@@ -388,25 +399,27 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
         reg.set_cell_weights(estimate_sensitivity_weights(
             simulator, w, len(m), seed=sens_seed))
 
-    def objective(model, d_pred_model=None):
-        if d_pred_model is None:
-            d_pred_model = simulator.predict(model)
-        phi_d, cot = data_misfit(w, d_obs, d_pred_model)
-        phi_m, g_m = (0.0, 0.0)
-        if reg is not None:
-            phi_m, g_m = reg.value_and_grad(model)
-        return phi_d, phi_m, cot, g_m
+    def normal_matvec():
+        """v -> (J^T W^2 J + beta H_reg) v at the current linearization."""
+        J = simulator.sensitivity()
+        h_reg = reg.hessian() if reg is not None and beta_t != 0 else None
+
+        def matvec(v):
+            out = J.T @ ((w * w) * (J @ v))
+            if h_reg is not None:
+                out = out + beta_t * (h_reg @ v)
+            return out
+        return matvec
 
     step0 = None
     for it in range(1, max_iterations + 1):
         t0 = time.perf_counter()
-        if it > 1:
-            d_pred = simulator.predict(m)
         if use_irls:
             reg.update_irls(m)
             if it > 1:
                 reg.cool_epsilon(irls_cooling, irls_epsilon_floor)
-        phi_d, phi_m, cot, g_reg = objective(m, d_pred)
+        phi_d, cot = data_misfit(w, d_obs, d_pred)
+        phi_m, g_reg = reg.value_and_grad(m) if reg is not None else (0.0, 0.0)
         if not np.isfinite(phi_d):
             raise SolverError(f"non-finite misfit at iteration {it}")
         misfits.append(phi_d)
@@ -422,27 +435,15 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
 
         if optimizer == "gradient_descent":
             if step0 is None:
-                def hv(v):
-                    hd = simulator.gradient((w * w) * simulator.jvp(v))
-                    if reg is not None and beta_t != 0:
-                        hd = hd + beta_t * (reg.hessian() @ v)
-                    return hd
-                step0 = 1.0 / _power_iteration_step(hv, len(m), seed=1)
+                step0 = 1.0 / _power_iteration_step(normal_matvec(), len(m),
+                                                    seed=1)
             direction = -grad
             step = step0
         else:
-            h_reg = reg.hessian() if reg is not None else None
-
-            def gn_matvec(v):
-                out = simulator.gradient((w * w) * simulator.jvp(v))
-                if h_reg is not None and beta_t != 0:
-                    out = out + beta_t * (h_reg @ v)
-                return out
-
-            op = spla.LinearOperator((len(m), len(m)), matvec=gn_matvec)
-            delta, _info = spla.cg(op, -grad, rtol=gn_cg_rtol,
-                                   maxiter=gn_cg_maxiter)
-            direction = delta
+            op = spla.LinearOperator((len(m), len(m)), matvec=normal_matvec())
+            direction, info = spla.cg(op, -grad, rtol=gn_cg_rtol,
+                                      maxiter=gn_cg_maxiter)
+            cg_info.append(info)
             step = 1.0
 
         # Armijo backtracking on the total objective
@@ -455,7 +456,8 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(30):
                 trial = m + step * direction
-                phi_d_t, _ = data_misfit(w, d_obs, simulator.predict(trial))
+                d_trial = simulator.predict(trial)
+                phi_d_t, _ = data_misfit(w, d_obs, d_trial)
                 phi_m_t = reg.value_and_grad(trial)[0] if reg is not None else 0.0
                 if phi_d_t + beta_t * phi_m_t <= total0 + 1e-4 * step * slope:
                     accepted = True
@@ -465,13 +467,14 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
             status = "line_search_failed"
             clocks.append(time.perf_counter() - t0)
             break
-        m = m + step * direction
+        # the simulator is now linearized at the accepted model
+        m, d_pred = trial, d_trial
         if optimizer == "gradient_descent":
             step0 = min(step * 2.0, step0 * 64)
         beta_t /= beta_cooling
         clocks.append(time.perf_counter() - t0)
 
-    final_misfit, _ = data_misfit(w, d_obs, simulator.predict(m))
+    final_misfit, _ = data_misfit(w, d_obs, d_pred)
     return InversionResult(
         model=m,
         misfit_history=np.array(misfits),
@@ -481,4 +484,5 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
         converged=converged,
         final_misfit=final_misfit,
         status=status,
+        cg_info=np.array(cg_info, dtype=int),
     )

@@ -16,6 +16,7 @@ import numpy as np
 
 from nfinv import dcr, tomo
 from nfinv.encoding import EncodedInput, EncodingConfig, encode
+from nfinv.errors import ManifestError
 from nfinv.inversion import (
     Adam,
     CoolingSchedule,
@@ -186,6 +187,14 @@ def encode_cells(man: dict,
     return config, encode(config, normalized_centers(mesh, lo, hi))
 
 
+def check_svd_k(man: dict, mlp) -> None:
+    """svd.k may not exceed the network's weight count (the SVD's width)."""
+    k = (man.get("svd") or {}).get("k")
+    if k is not None and k > mlp.param_count:
+        raise ManifestError("svd.k", f"must not exceed the network's "
+                            f"{mlp.param_count} weights, got {k}")
+
+
 def run_nfs(man: dict, asm: Assembled, out_dir: str | None = None):
     """NFs inversion per the manifest; returns (result, mlp, Z)."""
     seed = man["seed"]
@@ -200,6 +209,7 @@ def run_nfs(man: dict, asm: Assembled, out_dir: str | None = None):
                        output_scale=net["output_scale"],
                        output_offset=net["output_offset"],
                        seed=sub_seed(seed, "init"))
+    check_svd_k(man, mlp)  # before training, not after it
     nfs_cfg = man["nfs"]
     adam = Adam(mlp.param_count, learning_rate=nfs_cfg["learning_rate"])
     schedule = (CoolingSchedule(nfs_cfg["tau"])
@@ -249,6 +259,7 @@ def compute_metrics(man: dict, asm: Assembled, result) -> dict:
         "converged": result.converged,
         "status": result.status,
         "runtime_seconds": float(np.sum(result.wall_clock)),
+        "gn_cg_unconverged": int(np.count_nonzero(result.cg_info > 0)),
         "artifact_energy": None,
     }
     if man["case"] == 1:

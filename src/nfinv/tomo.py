@@ -162,8 +162,9 @@ class TomoSimulator:
         """Adjoint map: d(cotangent . data)/d(model) = A^T cotangent."""
         return self.ray_matrix.A.T @ cotangent
 
-    def jvp(self, dm: np.ndarray) -> np.ndarray:
-        return self.ray_matrix.A @ dm
+    def sensitivity(self):
+        """The data Jacobian: the sparse ray-length matrix itself."""
+        return self.ray_matrix.A
 
 
 def write_tomo_data_csv(path, survey: CrossholeSurvey, t_obs_s: np.ndarray,

@@ -7,6 +7,7 @@ from nfinv.dcr import (
     DcrSimulator,
     DcrSurvey,
     FvSystem,
+    PolePotentials,
     apparent_resistivity,
     assemble_system,
     build_dipole_dipole_survey,
@@ -17,7 +18,7 @@ from nfinv.dcr import (
     read_dcr_data_csv,
     write_dcr_data_csv,
 )
-from nfinv.errors import GeometryError
+from nfinv.errors import GeometryError, SolverError
 from nfinv.manifest import default_manifest
 from nfinv.mesh import build_dcr_mesh, embed_core
 
@@ -409,6 +410,103 @@ def test_shared_reordered_reciprocity_and_adjoint():
     lhs = float(sim.jvp(dm) @ u)
     rhs = float(dm @ sim.gradient(u))
     assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-8
+
+
+def reference_case(which):
+    """Mesh and survey of the dipole-solve reference comparisons."""
+    if which == "unpadded":
+        # boundary faces on active cells: their conductances vary too
+        return build_dcr_mesh(20, 8, 5.0, 5.0, 0, 1.5), small_survey()
+    mesh, survey = desk_case3()
+    if which == "shared_reordered":
+        survey = shared_reordered_survey()
+    return mesh, survey
+
+
+@pytest.mark.parametrize("which", ["desk_dipole_dipole", "shared_reordered",
+                                   "unpadded"])
+def test_sensitivity_matches_dipole_solves(which):
+    mesh, survey = reference_case(which)
+    rng = np.random.default_rng(15)
+    m = -2.0 + rng.normal(0.0, 0.3, mesh.n_active)
+    v = rng.normal(size=survey.n_data)
+    dm = rng.normal(size=mesh.n_active)
+    sim = DcrSimulator(mesh, survey, background_sigma=0.01)
+    sim.predict(m)
+    J = sim.sensitivity()
+    assert J.shape == (survey.n_data, mesh.n_active)
+
+    _, grad, jdm = dipole_reference(mesh, survey, m, v, dm)
+    pairs = [(J @ dm, jdm), (J.T @ v, grad)]
+    # single rows: the gradient of one datum
+    for d in sorted({0, survey.n_data // 2, survey.n_data - 1}):
+        unit = np.zeros(survey.n_data)
+        unit[d] = 1.0
+        pairs.append((J[d], dipole_reference(mesh, survey, m, unit, dm)[1]))
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("which", ["desk_dipole_dipole", "shared_reordered",
+                                   "unpadded"])
+def test_sensitivity_transpose_is_gradient(which):
+    mesh, survey = reference_case(which)
+    rng = np.random.default_rng(16)
+    sim = DcrSimulator(mesh, survey, background_sigma=0.01)
+    sim.predict(-2.0 + rng.normal(0.0, 0.3, mesh.n_active))
+    J = sim.sensitivity()
+    for _ in range(3):
+        v = rng.normal(size=survey.n_data)
+        g = sim.gradient(v)
+        assert np.max(np.abs(J.T @ v - g)) <= 1e-12 * np.max(np.abs(g))
+        dm = rng.normal(size=mesh.n_active)
+        assert np.array_equal(sim.jvp(dm), J @ dm)
+
+
+def test_dead_boundary_terms_skipped_exactly(monkeypatch):
+    # on a padded mesh every boundary face sits on frozen padding: skipping
+    # its terms must give the very same numbers as adding them
+    mesh, survey = desk_case3()
+    rng = np.random.default_rng(17)
+    m = -2.0 + rng.normal(0.0, 0.3, mesh.n_active)
+    system = assemble_system(mesh, embed_core(mesh, 10.0 ** m, 0.01))
+    v = rng.normal(size=survey.n_data)
+    skipped = PolePotentials(system, survey)
+    got = (skipped.gradient(v), skipped.sensitivity)
+    monkeypatch.setattr(PolePotentials, "_live_boundary",
+                        property(lambda self: True))
+    full = PolePotentials(system, survey)
+    assert np.array_equal(got[0], full.gradient(v))
+    assert np.array_equal(got[1], full.sensitivity)
+
+
+def test_sensitivity_kept_per_predict_without_solve(monkeypatch):
+    mesh, survey = desk_case3()
+    sim = DcrSimulator(mesh, survey, background_sigma=0.01)
+    with pytest.raises(SolverError):
+        sim.sensitivity()
+    held = []
+    solve = FvSystem.solve
+
+    def counted(self, b):
+        held.append(sim._poles is not None)
+        return solve(self, b)
+
+    monkeypatch.setattr(FvSystem, "solve", counted)
+    rng = np.random.default_rng(18)
+    m = -2.0 + rng.normal(0.0, 0.1, mesh.n_active)
+    sim.predict(m)
+    J = sim.sensitivity()
+    sim.jvp(rng.normal(size=mesh.n_active))
+    assert sim.sensitivity() is J
+    assert held == [False]
+    sim.predict(m + 0.1)
+    # a linearization holding a Jacobian is dropped before the next solve;
+    # one without is kept until the new one exists
+    assert held == [False, False]
+    sim.predict(m + 0.2)
+    assert held == [False, False, True]
+    assert sim.sensitivity() is not J
 
 
 def loop_data_csv(path, survey, data_v, uncertainty_v):

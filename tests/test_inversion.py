@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nfinv import dcr, inversion, runner
 from nfinv.encoding import EncodingConfig, encode
 from nfinv.inversion import (
     Adam,
@@ -12,6 +13,7 @@ from nfinv.inversion import (
     estimate_sensitivity_weights,
     nfs_invert,
 )
+from nfinv.manifest import default_manifest
 from nfinv.mesh import build_tomo_mesh, normalized_centers
 from nfinv.neural_field import (forward, get_weights, init_kaiming,
                                 set_weights, vjp)
@@ -32,8 +34,8 @@ class LinearSimulator:
     def gradient(self, cot):
         return self.A.T @ cot
 
-    def jvp(self, dm):
-        return self.A @ dm
+    def sensitivity(self):
+        return self.A
 
 
 class TestDataMisfit:
@@ -358,6 +360,30 @@ class TestConventional:
                                      max_iterations=10)
         assert result.status == "line_search_failed"
         assert not result.converged
+        # the final misfit is that of the model returned, not of the
+        # rejected trials the simulator saw last
+        assert result.final_misfit == data_misfit(1.0, d_obs,
+                                                  A @ result.model)[0]
+
+    def test_cg_exit_codes_per_gauss_newton_iteration(self):
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(30, 10))
+        d_obs = rng.normal(size=30)
+        exact = conventional_invert(
+            LinearSimulator(A), d_obs, 1.0, np.zeros(10), reg=None,
+            optimizer="gauss_newton", max_iterations=2, gn_cg_maxiter=100,
+            gn_cg_rtol=1e-12)
+        assert exact.cg_info.tolist() == [0, 0]
+        # one CG step cannot solve a 10-dimensional system to 1e-12
+        capped = conventional_invert(
+            LinearSimulator(A), d_obs, 1.0, np.zeros(10), reg=None,
+            optimizer="gauss_newton", max_iterations=3, gn_cg_maxiter=1,
+            gn_cg_rtol=1e-12)
+        assert len(capped.cg_info) == 3 and np.all(capped.cg_info > 0)
+        descent = conventional_invert(
+            LinearSimulator(A), d_obs, 1.0, np.zeros(10), reg=None,
+            optimizer="gradient_descent", max_iterations=3)
+        assert descent.cg_info.size == 0
 
     def test_unknown_optimizer(self):
         with pytest.raises(ValueError):
@@ -395,3 +421,65 @@ def test_sensitivity_weights_exact_for_diagonal_jacobian():
     w = estimate_sensitivity_weights(sim, 1.0, 4, n_probes=4, seed=0)
     want = diag / diag.max()  # sqrt of diag(J^T J) = diag, normalized
     assert np.allclose(w, want)
+
+
+@pytest.fixture(scope="module")
+def desk_case3_gauss_newton():
+    """The default desk case-3 Gauss-Newton run, counting predicts and
+    data-misfit evaluations."""
+    man = default_manifest(3, "conventional")
+    asm = runner.assemble(man)
+    calls = {"predict": 0, "data_misfit": 0}
+    predict, misfit = asm.simulator.predict, inversion.data_misfit
+
+    def counted_predict(m):
+        calls["predict"] += 1
+        return predict(m)
+
+    def counted_misfit(*args):
+        calls["data_misfit"] += 1
+        return misfit(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asm.simulator, "predict", counted_predict)
+        mp.setattr(inversion, "data_misfit", counted_misfit)
+        result = runner.run_conventional(man, asm)
+    return man, asm, result, calls
+
+
+class TestGaussNewtonDcr:
+    def test_one_predict_per_line_search_trial(self, desk_case3_gauss_newton):
+        _, _, result, calls = desk_case3_gauss_newton
+        assert result.status == "ok" and result.converged
+        # one misfit per iteration, one per line-search trial, one at the end
+        trials = calls["data_misfit"] - result.n_epochs - 1
+        assert trials >= result.n_epochs - 1
+        assert calls["predict"] == 1 + trials
+
+    def test_final_misfit_is_that_of_the_model(self, desk_case3_gauss_newton):
+        _, asm, result, _ = desk_case3_gauss_newton
+        fresh, _ = data_misfit(asm.w_d, asm.d_obs,
+                               asm.simulator.predict(result.model))
+        assert result.final_misfit == fresh
+        assert result.misfit_history[-1] == fresh
+
+    def test_cg_exit_codes_reach_the_metrics(self, desk_case3_gauss_newton):
+        man, asm, result, _ = desk_case3_gauss_newton
+        # the converged last iteration stops before its CG solve
+        assert len(result.cg_info) == result.n_epochs - 1
+        assert result.cg_info.dtype.kind == "i"
+        metrics = runner.compute_metrics(man, asm, result)
+        assert metrics["gn_cg_unconverged"] == int(np.sum(result.cg_info > 0))
+
+
+def test_network_epochs_never_build_the_dc_sensitivity(monkeypatch):
+    # one adjoint per epoch: the explicit Jacobian would only cost time
+    def refuse(self):
+        raise AssertionError("sensitivity built during a network run")
+
+    monkeypatch.setattr(dcr.PolePotentials, "sensitivity",
+                        property(refuse))
+    man = default_manifest(3, "nfs")
+    man["epochs"] = 2
+    result, _, _ = runner.run_nfs(man, runner.assemble(man))
+    assert result.n_epochs == 2

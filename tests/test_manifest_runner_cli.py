@@ -229,6 +229,29 @@ class TestCli:
                          "--out", str(tmp_path / "svd")]) == 2
             assert "svd.k" in capsys.readouterr().err
 
+    def test_svd_k_above_weight_count_exit_2_before_training(self, tmp_path,
+                                                             capsys):
+        # hidden = [1] leaves the network fewer weights than svd.k
+        man = tiny_case1(epochs=3)
+        man["network"]["hidden"] = [1]
+        man["svd"] = {"k": 8}
+        path = tmp_path / "bad.json"
+        save_manifest(man, path)
+        assert main(["invert", "--manifest", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "svd.k" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "histories.csv").exists()
+        # the svd verb applies the same bound to a trained checkpoint
+        man["svd"] = None
+        save_manifest(man, path)
+        assert main(["invert", "--manifest", str(path),
+                     "--out", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        assert main(["svd", "--manifest", str(path),
+                     "--checkpoint", str(tmp_path / "ok" / "weights_final.ckpt"),
+                     "--k", "8", "--out", str(tmp_path / "svd")]) == 2
+        assert "svd.k" in capsys.readouterr().err
+
     def test_numerical_abort_exit_3(self, tmp_path, capsys):
         man = tiny_case1(epochs=5)
         man["network"]["output_activation"] = "none"

@@ -260,6 +260,17 @@ class TestPredict:
         rhs = float(s @ sim.gradient(u))
         assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-12
 
+    def test_sensitivity_is_the_ray_matrix(self):
+        mesh = build_tomo_mesh(10, 12, 1.0, 1.0)
+        rm = build_ray_matrix(mesh, build_crosshole_survey(mesh, 2.0))
+        sim = TomoSimulator(rm)
+        assert sim.sensitivity() is rm.A
+        rng = np.random.default_rng(9)
+        s = rng.normal(size=sim.n_model)
+        u = rng.normal(size=sim.n_data)
+        assert np.array_equal(sim.sensitivity() @ s, sim.predict(s))
+        assert np.array_equal(sim.sensitivity().T @ u, sim.gradient(u))
+
 
 def test_data_csv_round_trip(tmp_path):
     mesh = build_tomo_mesh(4, 4, 1.0, 1.0)
