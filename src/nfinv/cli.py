@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 Verbs: make-scenario, simulate, invert, svd, render, report.
-Exit codes: 0 success, 2 manifest/schema violation (the offending field
-path is printed), 3 numerical abort.
+Exit codes: 0 success, 2 invalid input (the offending manifest field or
+CLI input is printed), 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -28,6 +28,18 @@ def _apply_overrides(man: dict, args) -> dict:
         man["seed"] = args.seed
     if getattr(args, "epochs", None) is not None:
         man["epochs"] = args.epochs
+    return man
+
+
+def _load(path) -> dict:
+    """The manifest object in ``--manifest``."""
+    from nfinv.manifest import load_manifest
+    try:
+        man = load_manifest(path)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON
+        raise ManifestError("--manifest", str(exc)) from exc
+    if not isinstance(man, dict):
+        raise ManifestError("--manifest", "must hold a JSON object")
     return man
 
 
@@ -87,38 +99,40 @@ def _verb_make_scenario(args) -> int:
 
 
 def _verb_simulate(args) -> int:
-    from nfinv.manifest import load_manifest
     from nfinv.runner import simulate_case
-    man = load_manifest(args.manifest)
-    if args.seed is not None:
-        man["seed"] = args.seed
+    man = _apply_overrides(_load(args.manifest), args)
     info = simulate_case(man, args.out)
     print(f"simulated {info['n_data']} data into {info['out_dir']}")
     return 0
 
 
 def _verb_invert(args) -> int:
-    from nfinv.manifest import load_manifest
     from nfinv.runner import run_case
-    man = _apply_overrides(load_manifest(args.manifest), args)
+    man = _apply_overrides(_load(args.manifest), args)
     metrics = run_case(man, args.out)
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0
 
 
 def _verb_svd(args) -> int:
-    from nfinv.manifest import load_manifest
+    from nfinv.manifest import layer_dims
     from nfinv.neural_field import load_checkpoint
-    from nfinv.runner import assemble, check_svd_k, encode_cells
+    from nfinv.runner import assemble, encode_cells
     from nfinv.svd_analysis import analyze_trained_network
 
-    man = load_manifest(args.manifest)
+    man = _load(args.manifest)
     # --k is validated as svd.k when assemble checks the manifest
     man["svd"] = {"k": args.k}
     asm = assemble(man)
     _, Z = encode_cells(man, asm.mesh)
-    mlp, _ = load_checkpoint(args.checkpoint)
-    check_svd_k(man, mlp)
+    try:
+        mlp, _ = load_checkpoint(args.checkpoint)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ManifestError("--checkpoint", str(exc)) from exc
+    if mlp.layer_dims != layer_dims(man):
+        raise ManifestError("--checkpoint", f"layer dims "
+                            f"{list(mlp.layer_dims)} differ from the "
+                            f"manifest's {list(layer_dims(man))}")
     result = analyze_trained_network(
         mlp, Z, k=args.k, grid_shape=(asm.mesh.nx_core, asm.mesh.nz_core),
         out_dir=args.out, dx=asm.mesh.dx_core, dz=asm.mesh.dz_core)
@@ -138,9 +152,11 @@ def _verb_report(args) -> int:
     rows = []
     for d in args.dirs:
         path = os.path.join(d, "metrics.json")
-        with open(path) as f:
-            m = json.load(f)
-        rows.append((d, m))
+        try:
+            with open(path) as f:
+                rows.append((d, json.load(f)))
+        except (OSError, ValueError) as exc:
+            raise ManifestError(path, str(exc)) from exc
     print(f"{'run':<28} {'case':>4} {'method':>12} {'rmse':>12} "
           f"{'chi2':>10} {'epochs':>7}")
     for d, m in rows:
@@ -165,7 +181,7 @@ def main(argv=None) -> int:
     try:
         return _VERBS[args.verb](args)
     except ManifestError as exc:
-        print(f"manifest error at {exc.field}: {exc}", file=sys.stderr)
+        print(f"invalid input at {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

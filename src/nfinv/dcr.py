@@ -399,20 +399,17 @@ def apparent_resistivity(survey: DcrSurvey, data: np.ndarray) -> np.ndarray:
 
 
 def write_dcr_data_csv(path, survey: DcrSurvey, data_v: np.ndarray,
-                       uncertainty_v: np.ndarray,
-                       include_apparent_resistivity: bool = True) -> None:
-    """Columns: A_x, B_x, M_x, N_x, dV_volts, uncertainty_volts[, rho_app]."""
+                       uncertainty_v: np.ndarray) -> None:
+    """Columns: A_x, B_x, M_x, N_x, dV_volts, uncertainty_volts, rho_app."""
     unc = np.broadcast_to(np.asarray(uncertainty_v, dtype=float),
                           np.shape(data_v))
-    header = ["A_x", "B_x", "M_x", "N_x", "dV_volts", "uncertainty_volts"]
-    cols = [survey.electrode_x[survey.abmn], data_v, unc]
-    if include_apparent_resistivity:
-        header.append("rho_app_ohm_m")
-        cols.append(apparent_resistivity(survey, data_v))
+    rho_app = apparent_resistivity(survey, data_v)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(header)
-        for row in np.column_stack(cols):
+        w.writerow(["A_x", "B_x", "M_x", "N_x", "dV_volts",
+                    "uncertainty_volts", "rho_app_ohm_m"])
+        for row in np.column_stack([survey.electrode_x[survey.abmn], data_v,
+                                    unc, rho_app]):
             w.writerow([repr(float(v)) for v in row])
 
 

@@ -14,9 +14,10 @@ class SolverError(RuntimeError):
 
 
 class ManifestError(ValueError):
-    """A run manifest violates the schema.
+    """A run manifest, or an input file the CLI reads, is invalid.
 
-    ``field`` holds the dotted path of the offending entry.
+    ``field`` holds the dotted path of the offending manifest entry, or
+    the CLI option or path naming the file.
     """
 
     def __init__(self, field: str, message: str):

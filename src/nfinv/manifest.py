@@ -1,4 +1,4 @@
-"""Run manifests: schema, per-case defaults, validation, seed fan-out.
+"""Run manifests: per-case defaults, a per-field schema, seed fan-out.
 
 A manifest is a JSON document with a versioned schema that fully
 determines a run.  Re-running the same manifest reproduces every CSV
@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from dataclasses import dataclass
 
 from nfinv.errors import ManifestError
+from nfinv.neural_field import OUTPUT_ACTIVATIONS, param_count
 
 SCHEMA_VERSION = 1
 
@@ -156,150 +159,229 @@ def default_manifest(case: int, method: str = "nfs", seed: int = 0,
     return man
 
 
-def _require(cond: bool, fieldpath: str, message: str):
-    if not cond:
-        raise ManifestError(fieldpath, message)
+@dataclass(frozen=True)
+class F:
+    """One manifest field: its JSON type and the values it may take.
+
+    ``kind`` is int, float (an int passes too), str, bool, list, dict or
+    object (any value).  ``of`` declares a list's items or a dict's
+    fields; a list holds exactly ``size`` items, or at least one.  ``lo``
+    and ``hi`` are inclusive bounds, ``gt`` an exclusive lower bound.
+    Every field is required unless ``optional``.
+    """
+
+    kind: type
+    lo: float | None = None
+    gt: float | None = None
+    hi: float | None = None
+    choices: tuple = ()
+    null: bool = False
+    optional: bool = False
+    of: object = None
+    size: int | None = None
 
 
-def _req_number(man, path: str, lo=None, hi=None, allow_none=False):
-    node = man
-    for part in path.split(".")[:-1]:
-        node = node[part]
-    key = path.split(".")[-1]
-    _require(key in node, path, "missing field")
-    val = node[key]
-    if val is None:
-        _require(allow_none, path, "must not be null")
+@dataclass(frozen=True)
+class Tagged:
+    """A block whose fields depend on the value of its ``tag`` field."""
+
+    tag: str
+    blocks: dict
+
+
+NUMBER = F(float)
+POSITIVE = F(float, gt=0)
+NON_NEGATIVE = F(float, lo=0)
+COUNT = F(int, lo=1)
+NORM_P = F(float, lo=0, hi=2)
+POSITIVE_OR_NULL = F(float, gt=0, null=True)
+PAIR = F(list, of=NUMBER, size=2)
+DIP = F(float, gt=0, hi=90)
+
+REGULARIZATION = {
+    "alpha_s": NON_NEGATIVE, "alpha_x": NON_NEGATIVE, "alpha_z": NON_NEGATIVE,
+    "p_s": NORM_P, "p_x": NORM_P, "p_z": NORM_P, "m_ref": NUMBER,
+}
+
+COMMON = {
+    "schema_version": F(int, choices=(SCHEMA_VERSION,)),
+    "method": F(str, choices=("nfs", "conventional")),
+    "seed": F(int, lo=0),
+    "desk_scale": F(bool),
+    "checkpoint_every": F(int, lo=0),
+    "epochs": COUNT,
+    # svd.mode picked an SVD path that no longer exists; the benchmark's
+    # manifests still carry it, so it is accepted and ignored
+    "svd": F(dict, null=True, of={"k": COUNT, "mode": F(str, optional=True)}),
+    # a run's manifest echo adds the resolved mesh, so that it reruns as is
+    "mesh_resolved": F(object, optional=True),
+    "encoding": Tagged("kind", {
+        "identity": {"coord_range": PAIR},
+        "basic": {"coord_range": PAIR},
+        "linear": {"coord_range": PAIR, "m": COUNT},
+        "gaussian": {"coord_range": PAIR, "b_rows": COUNT, "b_std": POSITIVE},
+    }),
+    "network": {
+        "hidden": F(list, of=COUNT),
+        "output_activation": F(str, choices=OUTPUT_ACTIVATIONS),
+        "output_scale": NUMBER, "output_offset": NUMBER,
+    },
+    "nfs": {
+        "learning_rate": POSITIVE, "tau": POSITIVE_OR_NULL,
+        "target_chi2": POSITIVE_OR_NULL,
+        "regularization": F(dict, null=True, of=REGULARIZATION),
+    },
+    "conventional": {
+        "optimizer": F(str, choices=("gradient_descent", "gauss_newton")),
+        **REGULARIZATION,
+        "beta0": NON_NEGATIVE, "beta_cooling": F(float, lo=1),
+        "max_iterations": COUNT, "target_chi2": POSITIVE_OR_NULL,
+        "sensitivity_weighting": F(bool),
+    },
+}
+
+# The survey builders check the survey's fit to the mesh themselves.
+TOMO = {
+    "mesh": {"kind": F(str, choices=("tomo",)), "nx": COUNT, "nz": COUNT,
+             "dx": POSITIVE, "dz": POSITIVE},
+    "survey": {"spacing": POSITIVE},
+    "noise": {"kind": F(str, choices=("absolute_gaussian",)),
+              "std_ms": POSITIVE},
+}
+
+DCR = {
+    "mesh": {"kind": F(str, choices=("dcr",)), "nx_core": COUNT,
+             "nz_core": COUNT, "dx": POSITIVE, "dz": POSITIVE,
+             "n_pad": F(int, lo=0), "pad_factor": F(float, lo=1)},
+    "survey": {"line_length": POSITIVE, "station_sep": POSITIVE,
+               "max_rx": COUNT, "x0": F(float, null=True),
+               "current": POSITIVE},
+    # a positive floor keeps every uncertainty positive
+    "noise": {"kind": F(str, choices=("relative_gaussian",)),
+              "rel_fraction": NON_NEGATIVE, "floor_v": POSITIVE},
+    "padding_sigma": POSITIVE,
+}
+
+TRUE_MODEL = {
+    1: {"background_velocity": POSITIVE, "block_velocity": POSITIVE,
+        "block_center_frac": PAIR, "block_side_frac": F(float, gt=0, hi=1)},
+    2: {"background_velocity": POSITIVE,
+        "grf": {"variance": NON_NEGATIVE, "len_x": POSITIVE,
+                "len_z": POSITIVE},
+        "ellipse": {"cx_frac": NUMBER, "cz_frac": NUMBER, "rx_m": POSITIVE,
+                    "rz_m": POSITIVE, "velocity": POSITIVE}},
+    3: {"dip_angle_deg": DIP, "layer_thickness": NON_NEGATIVE,
+        "layer_sigma": POSITIVE, "dike_sigma": POSITIVE,
+        "dike_depth": NON_NEGATIVE, "dike_width": NON_NEGATIVE,
+        "dike_x_frac": NUMBER, "background_sigma": POSITIVE},
+    4: {"dip_angle_deg": DIP, "sigma_top": POSITIVE, "sigma_bottom": POSITIVE,
+        "dike_sigma": POSITIVE, "dike_top": NON_NEGATIVE,
+        "dike_depth": NON_NEGATIVE, "dike_width": NON_NEGATIVE,
+        "dike_x_frac": NUMBER},
+}
+
+SCHEMA = Tagged("case", {
+    case: {**COMMON, **(TOMO if case in (1, 2) else DCR),
+           "true_model": TRUE_MODEL[case]}
+    for case in (1, 2, 3, 4)})
+
+
+def _is(value, kind: type) -> bool:
+    if isinstance(value, bool):
+        return kind in (bool, object)
+    if kind is float:  # finite: NaN and the infinities fail the comparison
+        return (isinstance(value, (int, float))
+                and abs(value) <= sys.float_info.max)
+    return isinstance(value, kind)
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _walk(spec, value, path: str) -> None:
+    """Check ``value`` against ``spec``, naming the dotted leaf path."""
+    if isinstance(spec, F):
+        if value is None and spec.null:
+            return
+        if not _is(value, spec.kind):
+            raise ManifestError(path, f"expected {spec.kind.__name__}, "
+                                      f"got {value!r}")
+        if spec.choices and value not in spec.choices:
+            raise ManifestError(path, f"must be one of {list(spec.choices)}, "
+                                      f"got {value!r}")
+        if spec.lo is not None and value < spec.lo:
+            raise ManifestError(path, f"must be >= {spec.lo}, got {value}")
+        if spec.gt is not None and value <= spec.gt:
+            raise ManifestError(path, f"must be > {spec.gt}, got {value}")
+        if spec.hi is not None and value > spec.hi:
+            raise ManifestError(path, f"must be <= {spec.hi}, got {value}")
+        if spec.kind is list:
+            if not value or (spec.size and len(value) != spec.size):
+                raise ManifestError(path, f"expected {spec.size or 'at least 1'}"
+                                          f" items, got {len(value)}")
+            for i, item in enumerate(value):
+                _walk(spec.of, item, f"{path}[{i}]")
+        elif spec.kind is dict:
+            _walk(spec.of, value, path)
         return
-    _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-             path, f"expected a number, got {type(val).__name__}")
-    if lo is not None:
-        _require(val >= lo, path, f"must be >= {lo}, got {val}")
-    if hi is not None:
-        _require(val <= hi, path, f"must be <= {hi}, got {val}")
+    if not isinstance(value, dict):
+        raise ManifestError(path, f"expected dict, got {value!r}")
+    fields = spec
+    if isinstance(spec, Tagged):
+        tag = F(type(next(iter(spec.blocks))), choices=tuple(spec.blocks))
+        fields = {spec.tag: tag}
+        if spec.tag in value:
+            _walk(tag, value[spec.tag], _join(path, spec.tag))
+            fields.update(spec.blocks[value[spec.tag]])
+    for key, sub in fields.items():
+        if key in value:
+            _walk(sub, value[key], _join(path, key))
+        elif not (isinstance(sub, F) and sub.optional):
+            raise ManifestError(_join(path, key), "missing field")
+    for key in value:
+        if key not in fields:
+            raise ManifestError(_join(path, key), "unknown field")
+
+
+def layer_dims(man: dict) -> tuple[int, ...]:
+    """The network's layer widths: the encoding's feature count first."""
+    enc = man["encoding"]
+    if enc["kind"] == "gaussian":
+        width = 2 * enc["b_rows"]
+    elif enc["kind"] == "linear":
+        width = 4 * enc["m"]
+    else:
+        width = 2 if enc["kind"] == "identity" else 4
+    return (width, *man["network"]["hidden"], 1)
 
 
 def validate_manifest(man: dict) -> None:
     """Schema check; raises ManifestError naming the offending field."""
-    _require(isinstance(man, dict), "", "manifest must be an object")
-    _require(man.get("schema_version") == SCHEMA_VERSION, "schema_version",
-             f"expected {SCHEMA_VERSION}")
-    _require(man.get("case") in (1, 2, 3, 4), "case", "must be 1..4")
-    _require(man.get("method") in ("nfs", "conventional"), "method",
-             "must be 'nfs' or 'conventional'")
-    _req_number(man, "seed", lo=0)
-    _req_number(man, "epochs", lo=1)
-
-    mesh = man.get("mesh")
-    _require(isinstance(mesh, dict), "mesh", "missing mesh block")
-    if man["case"] in (1, 2):
-        _require(mesh.get("kind") == "tomo", "mesh.kind", "must be 'tomo'")
-        for f in ("nx", "nz"):
-            _req_number(man, f"mesh.{f}", lo=1)
-        for f in ("dx", "dz"):
-            _req_number(man, f"mesh.{f}", lo=1e-12)
-        _req_number(man, "survey.spacing", lo=1e-12)
-        _req_number(man, "noise.std_ms", lo=0)
-    else:
-        _require(mesh.get("kind") == "dcr", "mesh.kind", "must be 'dcr'")
-        for f in ("nx_core", "nz_core"):
-            _req_number(man, f"mesh.{f}", lo=1)
-        for f in ("dx", "dz"):
-            _req_number(man, f"mesh.{f}", lo=1e-12)
-        _req_number(man, "mesh.n_pad", lo=0)
-        _req_number(man, "mesh.pad_factor", lo=1.0)
-        _req_number(man, "survey.line_length", lo=1e-12)
-        _req_number(man, "survey.station_sep", lo=1e-12)
-        _req_number(man, "survey.max_rx", lo=1)
-        _req_number(man, "noise.rel_fraction", lo=0)
-        _req_number(man, "noise.floor_v", lo=0)
-        _req_number(man, "padding_sigma", lo=1e-300)
-
-    enc = man.get("encoding")
-    _require(isinstance(enc, dict), "encoding", "missing encoding block")
-    _require(enc.get("kind") in ("identity", "basic", "linear", "gaussian"),
-             "encoding.kind", "unknown encoding kind")
-    cr = enc.get("coord_range")
-    _require(isinstance(cr, list) and len(cr) == 2 and cr[0] < cr[1],
-             "encoding.coord_range", "must be [lo, hi] with lo < hi")
-    if enc["kind"] == "gaussian":
-        _req_number(man, "encoding.b_rows", lo=1)
-        _req_number(man, "encoding.b_std", lo=1e-12)
-    if enc["kind"] == "linear":
-        _req_number(man, "encoding.m", lo=1)
-
-    net = man.get("network")
-    _require(isinstance(net, dict), "network", "missing network block")
-    hidden = net.get("hidden")
-    _require(isinstance(hidden, list) and len(hidden) >= 1
-             and all(isinstance(h, int) and h >= 1 for h in hidden),
-             "network.hidden", "must be a list of positive ints")
-    _require(net.get("output_activation") in ("tanh", "sigmoid", "relu",
-                                              "none"),
-             "network.output_activation", "unknown activation")
-    _req_number(man, "network.output_scale")
-    _req_number(man, "network.output_offset")
-
-    nfs = man.get("nfs")
-    _require(isinstance(nfs, dict), "nfs", "missing nfs block")
-    _req_number(man, "nfs.learning_rate", lo=1e-12)
-    if nfs.get("tau") is not None:
-        _req_number(man, "nfs.tau", lo=1e-12)
-    if nfs.get("target_chi2") is not None:
-        _req_number(man, "nfs.target_chi2", lo=1e-12)
-
-    conv = man.get("conventional")
-    _require(isinstance(conv, dict), "conventional",
-             "missing conventional block")
-    _require(conv.get("optimizer") in ("gradient_descent", "gauss_newton"),
-             "conventional.optimizer", "unknown optimizer")
-    for f in ("alpha_s", "alpha_x", "alpha_z"):
-        _req_number(man, f"conventional.{f}", lo=0)
-    for f in ("p_s", "p_x", "p_z"):
-        _req_number(man, f"conventional.{f}", lo=0, hi=2)
-    _req_number(man, "conventional.beta0", lo=0)
-    _req_number(man, "conventional.beta_cooling", lo=1.0)
-    _req_number(man, "conventional.max_iterations", lo=1)
-    _req_number(man, "conventional.m_ref")
-
-    tm = man.get("true_model")
-    _require(isinstance(tm, dict), "true_model", "missing true_model block")
-    if man["case"] == 1:
-        _req_number(man, "true_model.background_velocity", lo=1e-12)
-        _req_number(man, "true_model.block_velocity", lo=1e-12)
-        _req_number(man, "true_model.block_side_frac", lo=1e-12, hi=1.0)
-    elif man["case"] == 2:
-        _require(isinstance(tm.get("grf"), dict), "true_model.grf",
-                 "missing grf block")
-        _req_number(man, "true_model.grf.variance", lo=0)
-        _req_number(man, "true_model.grf.len_x", lo=1e-12)
-        _req_number(man, "true_model.grf.len_z", lo=1e-12)
-    elif man["case"] == 3:
-        _req_number(man, "true_model.dip_angle_deg", lo=1e-9, hi=90.0)
-        _req_number(man, "true_model.background_sigma", lo=1e-300)
-    else:
-        _req_number(man, "true_model.dip_angle_deg", lo=1e-9, hi=90.0)
-        _req_number(man, "true_model.sigma_top", lo=1e-300)
-        _req_number(man, "true_model.sigma_bottom", lo=1e-300)
-
-    svd = man.get("svd")
-    if svd is not None:
-        _require(isinstance(svd, dict), "svd", "must be null or an object")
-        k = svd.get("k")
-        _require(isinstance(k, int) and not isinstance(k, bool), "svd.k",
-                 f"expected an int, got {k!r}")
+    _walk(SCHEMA, man, "")
+    lo, hi = man["encoding"]["coord_range"]
+    if not lo < hi:
+        raise ManifestError("encoding.coord_range",
+                            f"must be [lo, hi] with lo < hi, got {[lo, hi]}")
+    if man["svd"] is not None:
+        k = man["svd"]["k"]
+        mesh = man["mesh"]
         n_cells = (mesh["nx"] * mesh["nz"] if man["case"] in (1, 2)
                    else mesh["nx_core"] * mesh["nz_core"])
         # ARPACK finds fewer eigenpairs than the Gram matrix has rows
-        _require(1 <= k < n_cells, "svd.k",
-                 f"must lie in [1, {n_cells - 1}], got {k}")
+        if k >= n_cells:
+            raise ManifestError("svd.k", f"must lie in [1, {n_cells - 1}], "
+                                         f"got {k}")
+        n_weights = param_count(layer_dims(man))
+        if k > n_weights:
+            raise ManifestError("svd.k", f"must not exceed the network's "
+                                         f"{n_weights} weights, got {k}")
 
 
-def load_manifest(path) -> dict:
+def load_manifest(path):
+    """The JSON document at ``path``; ``runner.assemble`` validates it."""
     with open(path) as f:
-        man = json.load(f)
-    validate_manifest(man)
-    return man
+        return json.load(f)
 
 
 def save_manifest(man: dict, path) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from nfinv import dcr, tomo
 from nfinv.encoding import EncodedInput, EncodingConfig, encode
-from nfinv.errors import ManifestError
+from nfinv.errors import GeometryError, ManifestError
 from nfinv.inversion import (
     Adam,
     CoolingSchedule,
@@ -25,7 +25,12 @@ from nfinv.inversion import (
     conventional_invert,
     nfs_invert,
 )
-from nfinv.manifest import save_manifest, sub_seed, validate_manifest
+from nfinv.manifest import (
+    REGULARIZATION,
+    save_manifest,
+    sub_seed,
+    validate_manifest,
+)
 from nfinv.mesh import (
     TensorMesh,
     build_dcr_mesh,
@@ -83,11 +88,14 @@ def assemble(man: dict) -> Assembled:
             grf_cfg = tm["grf"]
             grf = GrfSpec(variance=grf_cfg["variance"],
                           len_x=grf_cfg["len_x"], len_z=grf_cfg["len_z"],
-                          seed=grf_cfg.get("seed", sub_seed(seed, "grf")))
+                          seed=sub_seed(seed, "grf"))
             ellipse = EllipseSpec(**tm["ellipse"])
             truth = make_case2(mesh, grf, ellipse,
                                background_velocity=tm["background_velocity"])
-        survey = tomo.build_crosshole_survey(mesh, man["survey"]["spacing"])
+        try:
+            survey = tomo.build_crosshole_survey(mesh, man["survey"]["spacing"])
+        except ValueError as exc:
+            raise ManifestError("survey.spacing", str(exc)) from exc
         simulator = tomo.TomoSimulator(tomo.build_ray_matrix(mesh, survey))
         d_clean = tomo.tomo_predict(simulator.ray_matrix, truth)
         noise = NoiseSpec(kind="absolute_gaussian",
@@ -110,9 +118,16 @@ def assemble(man: dict) -> Assembled:
             x0 = core_lo + 0.5 * ((core_hi - core_lo) - sv["line_length"])
         survey = dcr.build_dipole_dipole_survey(
             sv["line_length"], sv["station_sep"], sv["max_rx"], x0=x0,
-            current=sv.get("current", 1.0))
-        simulator = dcr.DcrSimulator(mesh, survey,
-                                     background_sigma=man["padding_sigma"])
+            current=sv["current"])
+        if survey.n_data == 0:
+            raise ManifestError("survey.line_length",
+                                "too short for one dipole-dipole datum")
+        try:
+            simulator = dcr.DcrSimulator(mesh, survey,
+                                         background_sigma=man["padding_sigma"])
+        except GeometryError as exc:
+            raise ManifestError("survey.line_length" if sv["x0"] is None
+                                else "survey.x0", str(exc)) from exc
         d_clean = simulator.predict(truth)
         noise = NoiseSpec(kind="relative_gaussian",
                           rel_fraction=man["noise"]["rel_fraction"],
@@ -160,17 +175,12 @@ def _write_histories(result, out_dir: str) -> None:
                     f"{float(result.reg_history[i])!r}\n")
 
 
-def _build_regularization(cfg: dict, mesh: TensorMesh) -> Regularization:
+def _build_regularization(cfg: dict, mesh: TensorMesh,
+                          sensitivity_weighting: bool = False
+                          ) -> Regularization:
     reg_cfg = RegularizationConfig(
-        alpha_s=cfg.get("alpha_s", 0.0),
-        alpha_x=cfg.get("alpha_x", 0.0),
-        alpha_z=cfg.get("alpha_z", 0.0),
-        p_s=cfg.get("p_s", 2.0), p_x=cfg.get("p_x", 2.0),
-        p_z=cfg.get("p_z", 2.0),
-        m_ref=cfg.get("m_ref", 0.0),
-        irls_epsilon=cfg.get("irls_epsilon", 1e-4),
-        sensitivity_weighting=cfg.get("sensitivity_weighting", False),
-    )
+        **{key: cfg[key] for key in REGULARIZATION},
+        sensitivity_weighting=sensitivity_weighting)
     return Regularization(reg_cfg, nx=mesh.nx_core, nz=mesh.nz_core,
                           dx=mesh.dx_core, dz=mesh.dz_core)
 
@@ -178,21 +188,12 @@ def _build_regularization(cfg: dict, mesh: TensorMesh) -> Regularization:
 def encode_cells(man: dict,
                  mesh: TensorMesh) -> tuple[EncodingConfig, EncodedInput]:
     """The manifest's encoding and the encoded core-cell centers."""
-    enc_cfg = man["encoding"]
-    lo, hi = enc_cfg["coord_range"]
-    config = EncodingConfig(
-        kind=enc_cfg["kind"], m=enc_cfg.get("m", 8),
-        b_rows=enc_cfg.get("b_rows", 128), b_std=enc_cfg.get("b_std", 0.5),
-        seed=enc_cfg.get("seed", sub_seed(man["seed"], "encoding")))
+    # the schema admits m only for the linear kind, b_rows and b_std only
+    # for the gaussian one
+    params = dict(man["encoding"])
+    lo, hi = params.pop("coord_range")
+    config = EncodingConfig(**params, seed=sub_seed(man["seed"], "encoding"))
     return config, encode(config, normalized_centers(mesh, lo, hi))
-
-
-def check_svd_k(man: dict, mlp) -> None:
-    """svd.k may not exceed the network's weight count (the SVD's width)."""
-    k = (man.get("svd") or {}).get("k")
-    if k is not None and k > mlp.param_count:
-        raise ManifestError("svd.k", f"must not exceed the network's "
-                            f"{mlp.param_count} weights, got {k}")
 
 
 def run_nfs(man: dict, asm: Assembled, out_dir: str | None = None):
@@ -209,21 +210,20 @@ def run_nfs(man: dict, asm: Assembled, out_dir: str | None = None):
                        output_scale=net["output_scale"],
                        output_offset=net["output_offset"],
                        seed=sub_seed(seed, "init"))
-    check_svd_k(man, mlp)  # before training, not after it
     nfs_cfg = man["nfs"]
     adam = Adam(mlp.param_count, learning_rate=nfs_cfg["learning_rate"])
     schedule = (CoolingSchedule(nfs_cfg["tau"])
-                if nfs_cfg.get("tau") is not None else None)
+                if nfs_cfg["tau"] is not None else None)
     reg = None
-    if nfs_cfg.get("regularization") is not None:
+    if nfs_cfg["regularization"] is not None:
         reg = _build_regularization(nfs_cfg["regularization"], asm.mesh)
     target = None
-    if nfs_cfg.get("target_chi2") is not None:
+    if nfs_cfg["target_chi2"] is not None:
         target = nfs_cfg["target_chi2"] * len(asm.d_obs) / 2.0
     result = nfs_invert(asm.simulator, asm.d_obs, asm.w_d, mlp, Z,
                         epochs=man["epochs"], schedule=schedule, adam=adam,
                         reg=reg, target_misfit=target,
-                        checkpoint_every=man.get("checkpoint_every", 0),
+                        checkpoint_every=man["checkpoint_every"],
                         checkpoint_dir=out_dir)
     return result, mlp, Z
 
@@ -232,10 +232,11 @@ def run_conventional(man: dict, asm: Assembled):
     conv = man["conventional"]
     reg = None
     if max(conv["alpha_s"], conv["alpha_x"], conv["alpha_z"]) > 0:
-        reg = _build_regularization(conv, asm.mesh)
+        reg = _build_regularization(conv, asm.mesh,
+                                    conv["sensitivity_weighting"])
     m0 = np.full(asm.mesh.n_active, float(conv["m_ref"]))
     target = None
-    if conv.get("target_chi2") is not None:
+    if conv["target_chi2"] is not None:
         target = conv["target_chi2"] * len(asm.d_obs) / 2.0
     return conventional_invert(
         asm.simulator, asm.d_obs, asm.w_d, m0, reg=reg,
@@ -301,7 +302,7 @@ def run_case(man: dict, out_dir) -> dict:
         result, mlp, Z = run_nfs(man, asm, out_dir)
         save_checkpoint(os.path.join(out_dir, "weights_final.ckpt"), mlp,
                         epoch=result.n_epochs)
-        if man.get("svd"):
+        if man["svd"] is not None:
             analyze_trained_network(
                 mlp, Z, k=man["svd"]["k"],
                 grid_shape=(asm.mesh.nx_core, asm.mesh.nz_core),
