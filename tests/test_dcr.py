@@ -1,8 +1,10 @@
 import csv
+import logging
 
 import numpy as np
 import pytest
 
+from nfinv import dcr
 from nfinv.dcr import (
     DcrSimulator,
     DcrSurvey,
@@ -547,3 +549,90 @@ def test_indexed_csv_matches_datum_loop(tmp_path, which):
     assert (tmp_path / "indexed.csv").read_bytes() \
         == (tmp_path / "loop.csv").read_bytes()
     assert np.array_equal(apparent_resistivity(survey, d), rho)
+
+
+# ---------------------------------------------- direct-solve health
+
+def test_cg_fallback_warns_and_meets_residual(caplog):
+    mesh, _ = desk_case3()
+    system = assemble_system(mesh, np.full(mesh.n_cells, 0.01))
+    lu = system._lu
+
+    class Perturbed:
+        def solve(self, b):
+            x = lu.solve(b)
+            x[:, 1] *= 1.0 + 1e-4
+            return x
+
+    system._lu = Perturbed()
+    b = np.random.default_rng(19).normal(size=(mesh.n_cells, 3))
+    with caplog.at_level(logging.WARNING, logger="nfinv.dcr"):
+        x = system.solve(b)
+    [record] = caplog.records
+    assert "1 column(s)" in record.getMessage()
+    assert "worst" in record.getMessage()
+    res = np.linalg.norm(system.L @ x - b, axis=0)
+    assert np.all(res <= 1e-8 * np.linalg.norm(b, axis=0))
+
+
+def test_predict_rejects_nonpositive_conductivity():
+    mesh, survey = desk_case3()
+    sim = DcrSimulator(mesh, survey, background_sigma=0.01)
+    m = np.full(mesh.n_active, -2.0)
+    m[:5] = -400.0          # 10**m underflows to 0
+    m[5] = np.nan
+    with pytest.raises(SolverError, match="6 cell"):
+        sim.predict(m)
+    m[:6] = 400.0           # 10**m overflows to inf
+    with pytest.raises(SolverError, match=r"m in \[-2, 400\]"), \
+            np.errstate(over="ignore"):
+        sim.predict(m)
+
+
+@pytest.fixture
+def scipy_blas():
+    """scipy's OpenBLAS with its pool at 2 threads for the test."""
+    lib = dcr._scipy_openblas()
+    if lib is None:
+        pytest.skip("scipy's bundled OpenBLAS not found")
+    n = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(2)
+    yield lib
+    lib.scipy_openblas_set_num_threads(n)
+
+
+def test_direct_solve_restores_scipy_blas_pool(scipy_blas, monkeypatch):
+    mesh, _ = desk_case3()
+    system = assemble_system(mesh, np.full(mesh.n_cells, 0.01))
+    system.solve(np.ones((mesh.n_cells, 4)))
+    assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+    inside = []
+
+    class Failing:
+        def solve(self, b):
+            inside.append(scipy_blas.scipy_openblas_get_num_threads())
+            raise RuntimeError("solve failed")
+
+    system._lu = Failing()
+    with pytest.raises(RuntimeError, match="solve failed"):
+        system.solve(np.ones(mesh.n_cells))
+    assert scipy_blas.scipy_openblas_get_num_threads() == 2
+
+    def failing_splu(A):
+        inside.append(scipy_blas.scipy_openblas_get_num_threads())
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(dcr.spla, "splu", failing_splu)
+    with pytest.raises(SolverError, match="factorization failed"):
+        assemble_system(mesh, np.full(mesh.n_cells, 0.01))
+    assert scipy_blas.scipy_openblas_get_num_threads() == 2
+    assert inside == [1, 1]
+
+
+def test_guarded_solve_equals_unguarded(scipy_blas):
+    mesh, _ = desk_case3()
+    rng = np.random.default_rng(20)
+    system = assemble_system(mesh, 10.0 ** rng.normal(-2.0, 0.3, mesh.n_cells))
+    b = rng.normal(size=(mesh.n_cells, 16))
+    assert np.array_equal(system.solve(b), system._lu.solve(b))

@@ -267,6 +267,22 @@ class TestCli:
         # diagnostic checkpoint written for post-mortem
         assert (tmp_path / "run" / "diagnostic.ckpt").exists()
 
+    def test_dcr_divergence_exit_3(self, tmp_path, capsys):
+        # a linear head at lr = 50 sends 10**m to 0 within a few epochs
+        man = default_manifest(3, "nfs", 0)
+        man["network"]["output_activation"] = "none"
+        man["nfs"]["learning_rate"] = 50.0
+        man["epochs"] = 20
+        path = tmp_path / "diverge.json"
+        save_manifest(man, path)
+        with np.errstate(all="ignore"):
+            code = main(["invert", "--manifest", str(path),
+                         "--out", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical abort" in err
+        assert "conductivity" in err
+
     def test_render_verb(self, tmp_path):
         from nfinv.mesh import write_grid_csv
         csv = tmp_path / "g.csv"
