@@ -158,11 +158,13 @@ def _verb_report(args) -> int:
         except (OSError, ValueError) as exc:
             raise ManifestError(path, str(exc)) from exc
     print(f"{'run':<28} {'case':>4} {'method':>12} {'rmse':>12} "
-          f"{'chi2':>10} {'epochs':>7}")
+          f"{'chi2':>10} {'epochs':>7} {'status':>18} "
+          f"{'gn_cg_unconverged':>17}")
     for d, m in rows:
         print(f"{d:<28} {m['case']:>4} {m['method']:>12} "
               f"{m['rmse']:>12.5g} {m['chi2_per_datum']:>10.4g} "
-              f"{m['epochs_run']:>7}")
+              f"{m['epochs_run']:>7} {m['status']:>18} "
+              f"{m['gn_cg_unconverged']:>17}")
     return 0
 
 

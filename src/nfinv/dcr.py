@@ -12,73 +12,23 @@ and the uniform half-space potential is phi = -(rho I / pi) ln r + C.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
-import glob
 import logging
-import os
 import warnings
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
-import scipy
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from nfinv.blas import scipy_blas_one_thread
 from nfinv.errors import GeometryError, SolverError
 from nfinv.mesh import TensorMesh, embed_core
 
 log = logging.getLogger(__name__)
 
 LN10 = np.log(10.0)
-
-
-@cache
-def _scipy_openblas() -> ctypes.CDLL | None:
-    """scipy's bundled OpenBLAS, or None where this build has none.
-
-    numpy and scipy wheels each bundle an OpenBLAS with its own thread
-    pool; SuperLU calls scipy's.
-    """
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)),
-                        "scipy.libs")
-    for path in sorted(glob.glob(os.path.join(libs,
-                                              "libscipy_openblas-*.so"))):
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads
-            put = lib.scipy_openblas_set_num_threads
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return lib
-    return None
-
-
-@contextlib.contextmanager
-def _scipy_blas_one_thread():
-    """Run scipy's OpenBLAS at one thread inside the block.
-
-    SuperLU makes many small BLAS calls.  On scipy's pool they wake its
-    workers while numpy's are still spinning after the network's GEMMs,
-    which oversubscribes the cores: in a full-scale DC network inversion
-    on 2 cores a solve took 75-101 ms on the shared pools and 29-32 ms
-    with scipy's at one thread.  numpy's pool is left alone.  The saved
-    pool size is restored on exit.
-    """
-    lib = _scipy_openblas()
-    if lib is None:
-        yield
-        return
-    n = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads(n)
 
 
 @dataclass(frozen=True)
@@ -149,7 +99,7 @@ class FvSystem:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Direct solve with residual check and an iterative fallback."""
-        with _scipy_blas_one_thread():
+        with scipy_blas_one_thread():
             x = self._lu.solve(b)
         bn = np.linalg.norm(b, axis=0)
         res = np.linalg.norm(self.L @ x - b, axis=0)
@@ -191,7 +141,7 @@ def assemble_system(mesh: TensorMesh, sigma: np.ndarray) -> FvSystem:
     L = sp.coo_matrix((vals, (rows, cols)),
                       shape=(mesh.n_cells, mesh.n_cells)).tocsr()
     try:
-        with _scipy_blas_one_thread():
+        with scipy_blas_one_thread():
             lu = spla.splu(L.tocsc())
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc

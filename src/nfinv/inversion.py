@@ -264,12 +264,16 @@ def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
         beta_t = schedule.beta(t) if schedule is not None else 0.0
         lin = JacobianOperator(mlp, Z)
         m = lin.m
-        d_pred = simulator.predict(m)
-        phi_d, cot = data_misfit(w_d, d_obs, d_pred)
-        if not np.isfinite(phi_d):
+        try:
+            d_pred = simulator.predict(m)
+            phi_d, cot = data_misfit(w_d, d_obs, d_pred)
+            if not np.isfinite(phi_d):
+                raise SolverError(f"non-finite misfit at epoch {t}")
+        except SolverError:
+            # the weights that produced the bad model, tagged with the epoch
             if checkpoint_dir is not None:
                 save_checkpoint(f"{checkpoint_dir}/diagnostic.ckpt", mlp, t)
-            raise SolverError(f"non-finite misfit at epoch {t}")
+            raise
 
         phi_m = 0.0
         g_m = (1.0 - beta_t) * simulator.gradient(cot)

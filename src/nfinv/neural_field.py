@@ -182,14 +182,28 @@ class JacobianOperator:
         ``d`` holds the sensitivities of the raw output, shape (n_cells, 1).
         """
         layers = list(self._slices())
+        slope = self._mlp.hidden_slope
+        # mask and factor buffers for the widest hidden layer, one per sweep
+        size = max((x.size for x, *_ in layers[1:]), default=0)
+        pos_buf, f_buf = np.empty(size, dtype=bool), np.empty(size)
         for i in range(len(layers) - 1, -1, -1):
             x, w, ws, bs = layers[i]
             yield x, w, ws, bs, d
             if i:
                 d = d @ w.T
-                # X_i > 0 exactly where the LeakyReLU argument of layer
-                # i - 1 was positive (slope >= 0)
-                d *= np.where(x > 0, 1.0, self._mlp.hidden_slope)
+                # LeakyReLU derivative: X_i > 0 exactly where the argument
+                # of layer i - 1 was positive (slope >= 0).  The factor
+                # pos * (1 - s) + s equals np.where(x > 0, 1.0, s) bit for
+                # bit and runs faster: for s in [0, 1], fl(1 - s) + s
+                # rounds to 1 and 0 * (1 - s) + s = s.  x = +-0.0 and NaN
+                # get s, as with np.where.
+                pos = pos_buf[:x.size].reshape(x.shape)
+                f = f_buf[:x.size].reshape(x.shape)
+                np.greater(x, 0, out=pos)
+                np.copyto(f, pos)
+                f *= 1.0 - slope
+                f += slope
+                d *= f
 
     def _unit_deltas(self) -> list[np.ndarray]:
         """Delta_l(1) = d(model)/d(pre-activation of layer l), all cells."""

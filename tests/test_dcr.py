@@ -589,18 +589,6 @@ def test_predict_rejects_nonpositive_conductivity():
         sim.predict(m)
 
 
-@pytest.fixture
-def scipy_blas():
-    """scipy's OpenBLAS with its pool at 2 threads for the test."""
-    lib = dcr._scipy_openblas()
-    if lib is None:
-        pytest.skip("scipy's bundled OpenBLAS not found")
-    n = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(2)
-    yield lib
-    lib.scipy_openblas_set_num_threads(n)
-
-
 def test_direct_solve_restores_scipy_blas_pool(scipy_blas, monkeypatch):
     mesh, _ = desk_case3()
     system = assemble_system(mesh, np.full(mesh.n_cells, 0.01))

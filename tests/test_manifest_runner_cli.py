@@ -13,6 +13,7 @@ from nfinv.manifest import (
     sub_seed,
     validate_manifest,
 )
+from nfinv.neural_field import get_weights, load_checkpoint
 from nfinv.runner import assemble, run_case, simulate_case
 
 
@@ -198,6 +199,9 @@ class TestCli:
         assert main(["report", str(out)]) == 0
         captured = capsys.readouterr()
         assert "rmse" in captured.out
+        header, row = captured.out.splitlines()[-2:]
+        assert header.split()[-2:] == ["status", "gn_cg_unconverged"]
+        assert row.split()[-2:] == ["ok", "0"]
 
     def test_invalid_manifest_exit_2(self, tmp_path, capsys):
         man = default_manifest(3)
@@ -282,6 +286,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numerical abort" in err
         assert "conductivity" in err
+        mlp, header = load_checkpoint(tmp_path / "run" / "diagnostic.ckpt")
+        assert 1 <= header["epoch"] <= 20
+        assert np.all(np.isfinite(get_weights(mlp)))
 
     def test_render_verb(self, tmp_path):
         from nfinv.mesh import write_grid_csv

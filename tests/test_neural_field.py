@@ -256,6 +256,42 @@ class TestJacobian:
         np.testing.assert_allclose(op.gram(), want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.3, 1.0])
+    def test_sweep_matches_where_backprop_bitwise(self, slope):
+        mlp = init_kaiming((3, 6, 5, 4, 1), hidden_slope=slope,
+                           output_scale=1.7, seed=9)
+        # zeroed columns and biases make some pre-activations exactly 0
+        for w, b in zip(mlp.weights[:2], mlp.biases[:2]):
+            w[:, 1] = 0.0
+            b[1] = 0.0
+        rng = np.random.default_rng(15)
+        z = rng.normal(size=(40, 3))
+        u = rng.normal(size=40)
+
+        xs = [z]
+        for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+            a = xs[-1] @ w + b
+            xs.append(np.where(a > 0, a, slope * a))
+        assert all(np.any(x[:, 1] == 0.0) for x in xs[1:3])
+        t = np.tanh((xs[-1] @ mlp.weights[-1] + mlp.biases[-1])[:, 0])
+        deriv = 1.0 - t * t
+
+        def backprop(head):
+            deltas = [head[:, None]]
+            for x, w in zip(xs[:0:-1], mlp.weights[:0:-1]):
+                d = deltas[-1] @ w.T
+                deltas.append(d * np.where(x > 0, 1.0, slope))
+            return deltas[::-1]
+
+        op = JacobianOperator(mlp, z)
+        unit = backprop(mlp.output_scale * deriv)
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(op._unit_deltas(), unit))
+        grad = np.concatenate([
+            part for x, d in zip(xs, backprop(u * mlp.output_scale * deriv))
+            for part in ((x.T @ d).ravel(), d.sum(axis=0))])
+        assert np.array_equal(op.rmatvec(u), grad)
+
     def test_jvp_vjp_adjoint_identity(self):
         mlp = init_kaiming((3, 9, 1), output_activation="sigmoid", seed=8)
         rng = np.random.default_rng(13)
