@@ -15,21 +15,18 @@ from nfinv.errors import (
     SolverError,
 )
 from nfinv.mesh import (
-    CoreGrid,
     TensorMesh,
     build_dcr_mesh,
     build_tomo_mesh,
     embed_core,
-    extract_core,
     normalized_centers,
 )
-from nfinv.encoding import EncodedInput, EncodingConfig, encode, output_dim
+from nfinv.encoding import EncodingConfig, encode
 from nfinv.neural_field import (
     JacobianOperator,
     Mlp,
     forward,
     init_kaiming,
-    jvp,
     load_checkpoint,
     save_checkpoint,
     vjp,
@@ -49,8 +46,6 @@ from nfinv.dcr import (
     FvSystem,
     assemble_system,
     build_dipole_dipole_survey,
-    dcr_gradient,
-    dcr_predict,
 )
 from nfinv.scenarios import (
     EllipseSpec,
@@ -81,12 +76,10 @@ __all__ = [
     "Adam",
     "CapacityError",
     "CoolingSchedule",
-    "CoreGrid",
     "CrossholeSurvey",
     "DcrSimulator",
     "DcrSurvey",
     "EllipseSpec",
-    "EncodedInput",
     "EncodingConfig",
     "FvSystem",
     "GeometryError",
@@ -113,16 +106,12 @@ __all__ = [
     "build_tomo_mesh",
     "conventional_invert",
     "data_misfit",
-    "dcr_gradient",
-    "dcr_predict",
     "default_manifest",
     "embed_core",
     "encode",
-    "extract_core",
     "forward",
     "gaussian_random_field",
     "init_kaiming",
-    "jvp",
     "load_checkpoint",
     "load_manifest",
     "make_case1",
@@ -131,7 +120,6 @@ __all__ = [
     "make_case4",
     "nfs_invert",
     "normalized_centers",
-    "output_dim",
     "run_case",
     "save_checkpoint",
     "simulate_case",

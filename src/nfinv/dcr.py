@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -82,9 +81,6 @@ def build_dipole_dipole_survey(line_length: float, station_sep: float,
         if pairs:
             src.append((i, i + 1))
             rx.append(tuple(pairs))
-    if not src:
-        warnings.warn(f"line of {n_elec} electrodes yields no dipole-dipole "
-                      "data", stacklevel=2)
     return DcrSurvey(xs, tuple(src), tuple(rx), current)
 
 
@@ -186,9 +182,8 @@ class PolePotentials:
     derivative solves: ``gradient`` contracts the face potentials with the
     cotangent scattered onto electrode pairs (one product per call), and
     ``sensitivity`` forms the whole Jacobian, n_data x n_active, once per
-    linearization for callers that take many products (``jvp`` is
-    ``sensitivity @ dm``).  Derivatives are with respect to active-cell
-    log10-conductivity; padding is frozen.
+    linearization for callers that take many products.  Derivatives are
+    with respect to active-cell log10-conductivity; padding is frozen.
     """
 
     def __init__(self, system: FvSystem, survey: DcrSurvey,
@@ -303,35 +298,6 @@ class PolePotentials:
                        for p, C in terms).T
         return J
 
-    def jvp(self, dm: np.ndarray) -> np.ndarray:
-        """Derivative of the data along dm in active log10-conductivity."""
-        dm = np.asarray(dm, dtype=float)
-        if dm.shape != (self.mesh.n_active,):
-            raise ValueError(
-                f"dm must have {self.mesh.n_active} entries, got {dm.shape}")
-        return self.sensitivity @ dm
-
-
-def dcr_predict(system: FvSystem, survey: DcrSurvey) -> np.ndarray:
-    """Potential differences phi(M) - phi(N) in volts, one pole solve."""
-    return PolePotentials(system, survey).data
-
-
-def dcr_gradient(system: FvSystem, survey: DcrSurvey,
-                 cotangent: np.ndarray) -> np.ndarray:
-    """Gradient of (cotangent . data) w.r.t. active log10-conductivity.
-
-    One pole solve; see :class:`PolePotentials`.  The chain rule runs
-    through sigma = 10**m on active cells only (padding is frozen), so the
-    result has one entry per active cell.
-    """
-    return PolePotentials(system, survey).gradient(cotangent)
-
-
-def dcr_jvp(system: FvSystem, survey: DcrSurvey, dm: np.ndarray) -> np.ndarray:
-    """Directional derivative of the data w.r.t. active log10-conductivity."""
-    return PolePotentials(system, survey).jvp(dm)
-
 
 class DcrSimulator:
     """Nonlinear forward map over active-cell log10-conductivity.
@@ -341,7 +307,8 @@ class DcrSimulator:
     before the solve when it holds a Jacobian.  ``gradient``, ``jvp`` and
     ``sensitivity`` linearize at the most recent predict without a solve;
     the explicit sensitivity is built on first use and kept until the next
-    predict, so a caller that takes one adjoint per model never builds it.
+    predict, so a caller that takes one adjoint per model never builds it
+    (``jvp`` is ``sensitivity() @ dm``).
     """
 
     def __init__(self, mesh: TensorMesh, survey: DcrSurvey,
@@ -392,7 +359,12 @@ class DcrSimulator:
         return self._linearization("gradient").gradient(cotangent)
 
     def jvp(self, dm: np.ndarray) -> np.ndarray:
-        return self._linearization("jvp").jvp(dm)
+        """Derivative of the data along dm in active log10-conductivity."""
+        dm = np.asarray(dm, dtype=float)
+        if dm.shape != (self.mesh.n_active,):
+            raise ValueError(
+                f"dm must have {self.mesh.n_active} entries, got {dm.shape}")
+        return self.sensitivity() @ dm
 
     def sensitivity(self) -> np.ndarray:
         """The data Jacobian J (n_data x n_active) at the last predict."""
@@ -424,12 +396,3 @@ def write_dcr_data_csv(path, survey: DcrSurvey, data_v: np.ndarray,
         for row in np.column_stack([survey.electrode_x[survey.abmn], data_v,
                                     unc, rho_app]):
             w.writerow([repr(float(v)) for v in row])
-
-
-def read_dcr_data_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (dV_volts, uncertainty_volts) from a DCR data file."""
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))[1:]
-    d = np.array([float(r[4]) for r in rows])
-    u = np.array([float(r[5]) for r in rows])
-    return d, u

@@ -154,8 +154,9 @@ class Regularization:
         self.w_x = self._irls_weight(self.Dx @ m, c.p_x, self.epsilon)
         self.w_z = self._irls_weight(self.Dz @ m, c.p_z, self.epsilon)
 
-    def cool_epsilon(self, factor: float = 0.5, floor: float = 1e-6) -> None:
-        self.epsilon = max(self.epsilon * factor, floor)
+    def cool_epsilon(self) -> None:
+        """Halve the IRLS epsilon, down to a floor of 1e-6."""
+        self.epsilon = max(self.epsilon * 0.5, 1e-6)
 
     def value_and_grad(self, m: np.ndarray) -> tuple[float, np.ndarray]:
         c = self.config
@@ -198,12 +199,12 @@ class Regularization:
 class Adam:
     """Adam on a flat parameter vector, bias-corrected moments."""
 
-    def __init__(self, n_params: int, learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, n_params: int, learning_rate: float = 1e-3):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
@@ -359,8 +360,6 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
                         target_misfit: float | None = None,
                         gn_cg_maxiter: int = 20,
                         gn_cg_rtol: float = 1e-3,
-                        irls_cooling: float = 0.5,
-                        irls_epsilon_floor: float = 1e-6,
                         sens_seed: int = 0) -> InversionResult:
     """Model-space inversion from a reference starting model.
 
@@ -421,7 +420,7 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
         if use_irls:
             reg.update_irls(m)
             if it > 1:
-                reg.cool_epsilon(irls_cooling, irls_epsilon_floor)
+                reg.cool_epsilon()
         phi_d, cot = data_misfit(w, d_obs, d_pred)
         phi_m, g_reg = reg.value_and_grad(m) if reg is not None else (0.0, 0.0)
         if not np.isfinite(phi_d):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from nfinv.errors import ManifestError
 from nfinv.neural_field import OUTPUT_ACTIVATIONS, param_count
+from nfinv.svd_analysis import _GRAM_BYTES
 
 SCHEMA_VERSION = 1
 
@@ -372,6 +373,9 @@ def validate_manifest(man: dict) -> None:
         if k >= n_cells:
             raise ManifestError("svd.k", f"must lie in [1, {n_cells - 1}], "
                                          f"got {k}")
+        if n_cells * n_cells * 8 > _GRAM_BYTES:
+            raise ManifestError("svd.k", f"the SVD's {n_cells}^2 Gram matrix "
+                                         f"exceeds {_GRAM_BYTES} bytes")
         n_weights = param_count(layer_dims(man))
         if k > n_weights:
             raise ManifestError("svd.k", f"must not exceed the network's "

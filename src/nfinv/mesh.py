@@ -136,22 +136,6 @@ class TensorMesh:
         }
 
 
-@dataclass(frozen=True)
-class CoreGrid:
-    """Active-cell centers, row-major with x fastest (W columns, H rows)."""
-
-    W: int
-    H: int
-    centers: np.ndarray  # shape (W*H, 2), columns (x, z)
-
-    def __post_init__(self):
-        if self.centers.shape != (self.W * self.H, 2):
-            raise ValueError(
-                f"centers shape {self.centers.shape} does not match "
-                f"W*H = {self.W * self.H}")
-        self.centers.setflags(write=False)
-
-
 def build_tomo_mesh(nx: int, nz: int, dx: float, dz: float) -> TensorMesh:
     """Uniform unpadded mesh for cross-hole tomography; all cells active."""
     _check_core_args(nx, nz, dx, dz)
@@ -206,19 +190,11 @@ def embed_core(mesh: TensorMesh, core_values: np.ndarray,
     return full
 
 
-def extract_core(mesh: TensorMesh, full_values: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`embed_core`: gather the active-cell entries."""
-    full_values = np.asarray(full_values, dtype=float)
-    if full_values.shape != (mesh.n_cells,):
-        raise ValueError(
-            f"expected {mesh.n_cells} full-mesh values, got {full_values.shape}")
-    return full_values[mesh.active_indices].copy()
-
-
-def normalized_centers(mesh: TensorMesh, lo: float, hi: float) -> CoreGrid:
+def normalized_centers(mesh: TensorMesh, lo: float, hi: float) -> np.ndarray:
     """Active-cell centers affinely mapped to [lo, hi] per axis.
 
-    Each axis is scaled independently so the smallest center maps to ``lo``
+    Returns shape (n_active, 2), columns (x, z), rows in core order.  Each
+    axis is scaled independently so the smallest center maps to ``lo``
     and the largest to ``hi``.  A degenerate axis (single cell) maps to the
     midpoint (lo + hi) / 2.
     """
@@ -229,8 +205,7 @@ def normalized_centers(mesh: TensorMesh, lo: float, hi: float) -> CoreGrid:
     xn = _affine_to(xs, lo, hi)
     zn = _affine_to(zs, lo, hi)
     gx, gz = np.meshgrid(xn, zn)  # rows are z, columns are x
-    centers = np.column_stack([gx.ravel(), gz.ravel()])
-    return CoreGrid(W=mesh.nx_core, H=mesh.nz_core, centers=centers)
+    return np.column_stack([gx.ravel(), gz.ravel()])
 
 
 def _affine_to(v: np.ndarray, lo: float, hi: float) -> np.ndarray:

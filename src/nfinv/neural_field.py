@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nfinv.encoding import EncodedInput
 from nfinv.errors import CapacityError
 
 OUTPUT_ACTIVATIONS = ("tanh", "sigmoid", "relu", "none")
@@ -109,12 +108,6 @@ def set_weights(mlp: Mlp, flat: np.ndarray) -> None:
         pos += b.size
 
 
-def _as_matrix(z) -> np.ndarray:
-    if isinstance(z, EncodedInput):
-        return z.Z
-    return np.asarray(z, dtype=float)
-
-
 def _head(raw: np.ndarray, kind: str):
     """Output activation and its derivative at the raw output."""
     if kind == "tanh":
@@ -141,16 +134,15 @@ class JacobianOperator:
     equals a separate forward and backward pass bit for bit.  A
     scalar-output network's backprop sensitivities are linear in the
     cotangent, Delta_l(c) = c * Delta_l(1) row by row, so the unit
-    sensitivities Delta_l(1), computed on first use, give ``matvec``,
-    ``matmat``, ``rmatmat``, ``gram`` and the dense Jacobian as GEMMs
-    per layer (the per-example gradient identity, Goodfellow,
-    arXiv:1510.01799).
+    sensitivities Delta_l(1), computed on first use, give ``matmat``,
+    ``rmatmat``, ``gram`` and the dense Jacobian as GEMMs per layer (the
+    per-example gradient identity, Goodfellow, arXiv:1510.01799).
     Every product is exact.  The cache holds the weights at construction:
     build a new operator after changing them.  shape is (n_cells, n_params).
     """
 
     def __init__(self, mlp: Mlp, z):
-        x = _as_matrix(z)
+        x = np.asarray(z, dtype=float)
         if x.ndim != 2 or x.shape[1] != mlp.input_dim:
             raise ValueError(f"Z must have shape (n, {mlp.input_dim}), "
                              f"got {x.shape}")
@@ -230,14 +222,6 @@ class JacobianOperator:
             out[bs] = d.sum(axis=0)
         return out
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """J @ v: the directional derivative of the model along v."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.shape[1],):
-            raise ValueError(f"expected {self.shape[1]} tangents, "
-                             f"got {v.shape}")
-        return self.matmat(v[:, None])[:, 0]
-
     def matmat(self, v: np.ndarray) -> np.ndarray:
         """J @ V for V of shape (n_params, r)."""
         v = np.asarray(v, dtype=float)
@@ -304,18 +288,13 @@ def vjp(mlp: Mlp, z, cotangent: np.ndarray) -> np.ndarray:
     return JacobianOperator(mlp, z).rmatvec(cotangent)
 
 
-def jvp(mlp: Mlp, z, dw: np.ndarray) -> np.ndarray:
-    """Directional derivative J @ dw of the model with respect to weights."""
-    return JacobianOperator(mlp, z).matvec(dw)
-
-
 def weight_jacobian(mlp: Mlp, z, max_bytes: int = 2 ** 30) -> np.ndarray:
     """Dense Jacobian d(model)/d(weights); row i is vjp with cotangent e_i.
 
     Refuses to allocate more than ``max_bytes``; use
     :class:`JacobianOperator` beyond that.
     """
-    n, p = _as_matrix(z).shape[0], mlp.param_count
+    n, p = len(z), mlp.param_count
     need = n * p * 8
     if need > max_bytes:
         raise CapacityError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nfinv import dcr, tomo
-from nfinv.encoding import EncodedInput, EncodingConfig, encode
+from nfinv.encoding import EncodingConfig, encode
 from nfinv.errors import GeometryError, ManifestError
 from nfinv.inversion import (
     Adam,
@@ -186,7 +186,7 @@ def _build_regularization(cfg: dict, mesh: TensorMesh,
 
 
 def encode_cells(man: dict,
-                 mesh: TensorMesh) -> tuple[EncodingConfig, EncodedInput]:
+                 mesh: TensorMesh) -> tuple[EncodingConfig, np.ndarray]:
     """The manifest's encoding and the encoded core-cell centers."""
     # the schema admits m only for the linear kind, b_rows and b_std only
     # for the gaussian one
@@ -205,7 +205,7 @@ def run_nfs(man: dict, asm: Assembled, out_dir: str | None = None):
         write_b_matrix_csv(config, os.path.join(out_dir, "b_matrix.csv"))
 
     net = man["network"]
-    mlp = init_kaiming((Z.dim, *net["hidden"], 1),
+    mlp = init_kaiming((Z.shape[1], *net["hidden"], 1),
                        output_activation=net["output_activation"],
                        output_scale=net["output_scale"],
                        output_offset=net["output_offset"],

@@ -183,12 +183,3 @@ def write_tomo_data_csv(path, survey: CrossholeSurvey, t_obs_s: np.ndarray,
                             repr(float(rx)), repr(float(rz)),
                             repr(float(t_ms[i])), repr(float(u_ms[i]))])
                 i += 1
-
-
-def read_tomo_data_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (t_obs_s, uncertainty_s) from a tomography data file."""
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))[1:]
-    t = np.array([float(r[4]) for r in rows]) * 1e-3
-    u = np.array([float(r[5]) for r in rows]) * 1e-3
-    return t, u

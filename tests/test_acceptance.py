@@ -81,7 +81,7 @@ def _case1_network(mesh, seed):
     encoded coordinates."""
     z = encode(EncodingConfig(kind="identity"),
                normalized_centers(mesh, 0.0, 1.0))
-    mlp = init_kaiming((z.dim,) + DESK_HIDDEN + (1,),
+    mlp = init_kaiming((z.shape[1],) + DESK_HIDDEN + (1,),
                        output_activation="tanh", output_scale=5e-3,
                        output_offset=1e-3, seed=seed)
     return mlp, z
@@ -404,7 +404,7 @@ def test_criterion_9_encoding_ablation():
                        else EncodingConfig(kind="gaussian", b_rows=128,
                                            b_std=0.5, seed=100 + seed))
                 z = encode(cfg, grid)
-                mlp = init_kaiming((z.dim,) + DESK_HIDDEN + (1,),
+                mlp = init_kaiming((z.shape[1],) + DESK_HIDDEN + (1,),
                                    output_activation="tanh",
                                    output_scale=5e-3, output_offset=1e-3,
                                    seed=seed)

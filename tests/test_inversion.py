@@ -156,7 +156,7 @@ class TestRegularization:
         cfg = RegularizationConfig(alpha_s=1.0, p_s=1.0, irls_epsilon=1e-4)
         reg = Regularization(cfg, nx=2, nz=1, dx=1.0, dz=1.0)
         for _ in range(20):
-            reg.cool_epsilon(0.5, 1e-6)
+            reg.cool_epsilon()
         assert reg.epsilon == 1e-6
 
 
@@ -187,7 +187,7 @@ def small_tomo_setup(nx=16, nz=32, seed=0, hidden=(32, 64, 64, 32)):
                                               seed=seed))
     grid = normalized_centers(mesh, 0.0, 1.0)
     z = encode(EncodingConfig(kind="basic"), grid)
-    mlp = init_kaiming((z.dim,) + hidden + (1,), output_activation="tanh",
+    mlp = init_kaiming((z.shape[1],) + hidden + (1,), output_activation="tanh",
                        output_scale=5e-3, output_offset=1e-3, seed=seed)
     return mesh, sim, s_true, d_obs, w_d, z, mlp
 

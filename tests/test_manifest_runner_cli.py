@@ -27,6 +27,25 @@ def tiny_case1(method="nfs", seed=0, epochs=8):
     return man
 
 
+def tiny_case2_gaussian(seed=0, epochs=8):
+    man = tiny_case1(seed=seed, epochs=epochs)
+    case2 = default_manifest(2)
+    for key in ("case", "encoding", "true_model"):
+        man[key] = case2[key]
+    man["encoding"]["b_rows"] = 8
+    return man
+
+
+def tiny_case3(seed=0, epochs=8):
+    man = default_manifest(3, seed=seed)
+    man["mesh"] = {"kind": "dcr", "nx_core": 20, "nz_core": 8, "dx": 5.0,
+                   "dz": 5.0, "n_pad": 4, "pad_factor": 1.5}
+    man["survey"].update(line_length=80.0, station_sep=10.0)
+    man["epochs"] = epochs
+    man["network"]["hidden"] = [16, 16]
+    return man
+
+
 class TestSubSeed:
     def test_deterministic_and_distinct(self):
         assert sub_seed(7, "noise") == sub_seed(7, "noise")
@@ -128,11 +147,17 @@ class TestRunner:
         assert (tmp_path / "run" / "recovered.csv").exists()
         assert not (tmp_path / "run" / "weights_final.ckpt").exists()
 
-    def test_csv_determinism(self, tmp_path):
-        man = tiny_case1(seed=3)
+    @pytest.mark.parametrize("tiny", [tiny_case1, tiny_case2_gaussian,
+                                      tiny_case3],
+                             ids=["case1", "case2-gaussian", "case3"])
+    def test_csv_determinism(self, tmp_path, tiny):
+        man = tiny(seed=3)
         run_case(man, tmp_path / "a")
         run_case(man, tmp_path / "b")
-        for p in sorted((tmp_path / "a").glob("*")):
+        files = sorted((tmp_path / "a").glob("*"))
+        if man["case"] == 2:
+            assert tmp_path / "a" / "b_matrix.csv" in files
+        for p in files:
             if p.suffix in (".csv", ".png", ".ckpt"):
                 other = tmp_path / "b" / p.name
                 ha = hashlib.sha256(p.read_bytes()).hexdigest()
@@ -255,6 +280,27 @@ class TestCli:
                      "--checkpoint", str(tmp_path / "ok" / "weights_final.ckpt"),
                      "--k", "8", "--out", str(tmp_path / "svd")]) == 2
         assert "svd.k" in capsys.readouterr().err
+
+    def test_svd_gram_over_budget_exit_2_before_training(self, tmp_path,
+                                                         capsys):
+        # 128 x 128 cells: the 16,384^2 Gram matrix would exceed 1 GiB
+        man = tiny_case1(epochs=1)
+        man["mesh"].update(nx=128, nz=128)
+        man["network"]["hidden"] = [8]
+        man["svd"] = {"k": 3}
+        path = tmp_path / "big.json"
+        save_manifest(man, path)
+        assert main(["invert", "--manifest", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "svd.k" in capsys.readouterr().err
+        man["svd"] = None
+        save_manifest(man, path)
+        assert main(["svd", "--manifest", str(path),
+                     "--checkpoint", str(tmp_path / "unread.ckpt"),
+                     "--k", "3", "--out", str(tmp_path / "svd")]) == 2
+        assert "svd.k" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.ckpt"))
+        assert not (tmp_path / "run" / "metrics.json").exists()
 
     def test_numerical_abort_exit_3(self, tmp_path, capsys):
         man = tiny_case1(epochs=5)

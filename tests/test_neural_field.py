@@ -13,7 +13,6 @@ from nfinv.neural_field import (
     forward,
     get_weights,
     init_kaiming,
-    jvp,
     load_checkpoint,
     param_count,
     save_checkpoint,
@@ -109,7 +108,7 @@ class TestForward:
         def leaky(v):
             return v if v > 0 else 0.01 * v
 
-        for i, (x0, x1) in enumerate(z.Z):
+        for i, (x0, x1) in enumerate(z):
             h = [leaky(sum(float(mlp.weights[0][k, j]) * [x0, x1][k]
                            for k in range(2)) + float(mlp.biases[0][j]))
                  for j in range(3)]
@@ -224,7 +223,8 @@ class TestJacobian:
         op = JacobianOperator(mlp, z)
         v = rng.normal(size=mlp.param_count)
         u = rng.normal(size=9)
-        assert np.allclose(op.matvec(v), j @ v, rtol=1e-12, atol=1e-13)
+        assert np.allclose(op.matmat(v[:, None])[:, 0], j @ v, rtol=1e-12,
+                           atol=1e-13)
         assert np.allclose(op.rmatvec(u), j.T @ u, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("r", [1, 3, 20])
@@ -298,7 +298,7 @@ class TestJacobian:
         z = rng.normal(size=(14, 3))
         v = rng.normal(size=mlp.param_count)
         u = rng.normal(size=14)
-        lhs = float(u @ jvp(mlp, z, v))
+        lhs = float(u @ JacobianOperator(mlp, z).matmat(v[:, None])[:, 0])
         rhs = float(vjp(mlp, z, u) @ v)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
