@@ -133,6 +133,7 @@ def _verb_svd(args) -> int:
         raise ManifestError("--checkpoint", f"layer dims "
                             f"{list(mlp.layer_dims)} differ from the "
                             f"manifest's {list(layer_dims(man))}")
+    os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the SVD
     result = analyze_trained_network(
         mlp, Z, k=args.k, grid_shape=(asm.mesh.nx_core, asm.mesh.nz_core),
         out_dir=args.out, dx=asm.mesh.dx_core, dz=asm.mesh.dz_core)
@@ -141,9 +142,16 @@ def _verb_svd(args) -> int:
 
 
 def _verb_render(args) -> int:
-    from nfinv.render import render_heatmap
-    render_heatmap(args.grid, args.out, vmin=args.vmin, vmax=args.vmax,
-                   scale=args.scale)
+    from nfinv.mesh import read_grid_csv
+    from nfinv.render import render_grid
+    if args.scale < 1:
+        raise ManifestError("--scale", f"must be at least 1, got {args.scale}")
+    try:
+        values, nx, nz, _, _ = read_grid_csv(args.grid)
+    except (OSError, ValueError) as exc:
+        raise ManifestError("--grid", str(exc)) from exc
+    render_grid(values.reshape(nz, nx), args.out, vmin=args.vmin,
+                vmax=args.vmax, scale=args.scale)
     print(f"wrote {args.out}")
     return 0
 
@@ -184,6 +192,10 @@ def main(argv=None) -> int:
         return _VERBS[args.verb](args)
     except ManifestError as exc:
         print(f"invalid input at {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # each verb maps its own read errors, so this one is a write to --out
+        print(f"invalid input at --out: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

@@ -65,7 +65,8 @@ class RegularizationConfig:
     Exponents below 2 are handled by iteratively reweighted least squares
     with stabilization (r^2 + eps^2)^(p/2 - 1); p = 0 uses the same limit
     form.  ``sensitivity_weighting`` asks the conventional driver to fold
-    probed forward-sensitivity weights into all terms.
+    exact forward-sensitivity weights (``sensitivity_weights``) into all
+    terms.
     """
 
     alpha_s: float = 0.0
@@ -90,109 +91,83 @@ class RegularizationConfig:
 
 
 def _difference_operator(nx: int, nz: int, dx: float, dz: float):
-    """First-difference operators over the core grid, scaled by spacing."""
-    n = nx * nz
-    idx = np.arange(n).reshape(nz, nx)
-    # d/dx: faces between x-neighbors
-    i = idx[:, :-1].ravel()
-    j = idx[:, 1:].ravel()
-    rows = np.repeat(np.arange(len(i)), 2)
-    cols = np.column_stack([i, j]).ravel()
-    vals = np.tile([-1.0 / dx, 1.0 / dx], len(i))
-    Dx = sp.coo_matrix((vals, (rows, cols)), shape=(len(i), n)).tocsr()
-    # d/dz: faces between z-neighbors
-    i = idx[:-1, :].ravel()
-    j = idx[1:, :].ravel()
-    rows = np.repeat(np.arange(len(i)), 2)
-    cols = np.column_stack([i, j]).ravel()
-    vals = np.tile([-1.0 / dz, 1.0 / dz], len(i))
-    Dz = sp.coo_matrix((vals, (rows, cols)), shape=(len(i), n)).tocsr()
-    return Dx, Dz
+    """First-difference operators Dx, Dz over the core grid, scaled by
+    spacing; each row is one face between two neighboring cells."""
+    def d1(k, h):
+        return sp.diags([-1.0 / h, 1.0 / h], [0, 1], shape=(k - 1, k))
+    return (sp.kron(sp.identity(nz), d1(nx, dx), format="csr"),
+            sp.kron(d1(nz, dz), sp.identity(nx), format="csr"))
 
 
 class Regularization:
-    """Evaluates the penalty, its gradient, and its (IRLS) Hessian."""
+    """Evaluates the penalty, its gradient, and its (IRLS) Hessian.
+
+    The penalty sums weighted-quadratic terms, one per row (alpha, p, D) of
+    ``terms``, for each of smallness (D is None, residual m - m_ref per
+    cell), x- and z-smoothness (D = Dx or Dz, residual D m per face) whose
+    alpha is positive.  Row k weighs its squared residual by the cell
+    volume, ``term_weights[k]`` (the cell weights, averaged over the two
+    cells of each face for a difference term) and ``irls_weights[k]``.
+    """
 
     def __init__(self, config: RegularizationConfig, nx: int, nz: int,
                  dx: float, dz: float):
         self.config = config
         self.n = nx * nz
         self.volume = dx * dz  # uniform core cells
-        self.Dx, self.Dz = _difference_operator(nx, nz, dx, dz)
         self.epsilon = config.irls_epsilon
-        self.w_s = np.ones(self.n)
-        self.w_x = np.ones(self.Dx.shape[0])
-        self.w_z = np.ones(self.Dz.shape[0])
-        self.cell_weights = np.ones(self.n)
-        self._face_weights()
-
-    def _face_weights(self):
-        # face weights average the two adjacent cell weights
-        pattern_x = (self.Dx != 0).astype(float)
-        pattern_z = (self.Dz != 0).astype(float)
-        self.face_w_x = (pattern_x @ self.cell_weights) / 2.0
-        self.face_w_z = (pattern_z @ self.cell_weights) / 2.0
+        Dx, Dz = _difference_operator(nx, nz, dx, dz)
+        self.terms = [term for term in ((config.alpha_s, config.p_s, None),
+                                        (config.alpha_x, config.p_x, Dx),
+                                        (config.alpha_z, config.p_z, Dz))
+                      if term[0] > 0]
+        self.set_cell_weights(np.ones(self.n))
+        self.irls_weights = [np.ones_like(w) for w in self.term_weights]
 
     def set_cell_weights(self, w: np.ndarray) -> None:
         w = np.asarray(w, dtype=float)
         if w.shape != (self.n,):
             raise ValueError(f"need {self.n} cell weights, got {w.shape}")
-        self.cell_weights = w
-        self._face_weights()
+        self.term_weights = [
+            w if D is None else ((D != 0).astype(float) @ w) / 2.0
+            for _, _, D in self.terms]
 
-    @staticmethod
-    def _irls_weight(r: np.ndarray, p: float, eps: float) -> np.ndarray:
-        if p == 2.0:
-            return np.ones_like(r)
-        return (r * r + eps * eps) ** (p / 2.0 - 1.0)
+    def _residual(self, m: np.ndarray, D) -> np.ndarray:
+        return m - self.config.m_ref if D is None else D @ m
 
     def update_irls(self, m: np.ndarray) -> None:
-        """Refresh IRLS weights at the current model (no-op for p = 2)."""
-        c = self.config
-        r_s = m - c.m_ref
-        self.w_s = self._irls_weight(r_s, c.p_s, self.epsilon)
-        self.w_x = self._irls_weight(self.Dx @ m, c.p_x, self.epsilon)
-        self.w_z = self._irls_weight(self.Dz @ m, c.p_z, self.epsilon)
+        """Refresh IRLS weights at the current model (ones for p = 2)."""
+        eps2 = self.epsilon * self.epsilon
+        self.irls_weights = []
+        for _, p, D in self.terms:
+            r = self._residual(m, D)
+            self.irls_weights.append(np.ones_like(r) if p == 2.0
+                                     else (r * r + eps2) ** (p / 2.0 - 1.0))
 
     def cool_epsilon(self) -> None:
         """Halve the IRLS epsilon, down to a floor of 1e-6."""
         self.epsilon = max(self.epsilon * 0.5, 1e-6)
 
     def value_and_grad(self, m: np.ndarray) -> tuple[float, np.ndarray]:
-        c = self.config
-        v = self.volume
         value = 0.0
         grad = np.zeros_like(m)
-        if c.alpha_s > 0:
-            r = m - c.m_ref
-            w = v * self.cell_weights * self.w_s
-            value += c.alpha_s * float(np.sum(w * r * r))
-            grad += 2.0 * c.alpha_s * w * r
-        if c.alpha_x > 0:
-            r = self.Dx @ m
-            w = v * self.face_w_x * self.w_x
-            value += c.alpha_x * float(np.sum(w * r * r))
-            grad += 2.0 * c.alpha_x * (self.Dx.T @ (w * r))
-        if c.alpha_z > 0:
-            r = self.Dz @ m
-            w = v * self.face_w_z * self.w_z
-            value += c.alpha_z * float(np.sum(w * r * r))
-            grad += 2.0 * c.alpha_z * (self.Dz.T @ (w * r))
+        for (alpha, _, D), tw, iw in zip(self.terms, self.term_weights,
+                                         self.irls_weights):
+            r = self._residual(m, D)
+            w = self.volume * tw * iw
+            value += alpha * float(np.sum(w * r * r))
+            # two expressions: the smallness one keeps its own round-off
+            grad += (2.0 * alpha * w * r if D is None
+                     else 2.0 * alpha * (D.T @ (w * r)))
         return value, grad
 
     def hessian(self) -> sp.csr_matrix:
         """Hessian of the weighted-quadratic form at the current weights."""
-        c = self.config
-        v = self.volume
         H = sp.csr_matrix((self.n, self.n))
-        if c.alpha_s > 0:
-            H = H + sp.diags(2.0 * c.alpha_s * v * self.cell_weights * self.w_s)
-        if c.alpha_x > 0:
-            W = sp.diags(2.0 * c.alpha_x * v * self.face_w_x * self.w_x)
-            H = H + self.Dx.T @ W @ self.Dx
-        if c.alpha_z > 0:
-            W = sp.diags(2.0 * c.alpha_z * v * self.face_w_z * self.w_z)
-            H = H + self.Dz.T @ W @ self.Dz
+        for (alpha, _, D), tw, iw in zip(self.terms, self.term_weights,
+                                         self.irls_weights):
+            W = sp.diags(2.0 * alpha * self.volume * tw * iw)
+            H = H + (W if D is None else D.T @ W @ D)
         return H.tocsr()
 
 
@@ -313,35 +288,33 @@ def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
     )
 
 
-def estimate_sensitivity_weights(simulator, w_d, n_model: int,
-                                 n_probes: int = 8, seed: int = 0,
-                                 floor_frac: float = 1e-3) -> np.ndarray:
-    """Cell weights from the probed diagonal of J^T W^2 J, max-normalized.
+SENSITIVITY_FLOOR = 1e-3
+# the power iteration that sets the first gradient-descent step; its seed
+# fixes the case-1/2 conventional runs
+_POWER_ITERATIONS = 12
+_POWER_SEED = 1
 
-    Rademacher probing: E[(J^T W z)_c^2] equals the diagonal entry.  The
-    square root of the normalized diagonal is used as the weight, floored
-    at ``floor_frac`` of its maximum.
+
+def sensitivity_weights(J, w_d) -> np.ndarray:
+    """Cell weights: the column norms of W_d J, max-normalized.
+
+    J is a simulator's explicit ``sensitivity()``, dense (DC resistivity)
+    or sparse (the tomography ray matrix); the weights are the square root
+    of diag(J^T W_d^2 J), floored at ``SENSITIVITY_FLOOR`` of their maximum.
     """
-    rng = np.random.default_rng(seed)
-    diag = np.zeros(n_model)
-    w = np.asarray(w_d, dtype=float)
-    for _ in range(n_probes):
-        z = rng.choice([-1.0, 1.0], size=simulator.n_data)
-        y = simulator.gradient(np.broadcast_to(w, z.shape) * z)
-        diag += y * y
-    diag /= n_probes
-    weights = np.sqrt(diag)
-    weights /= weights.max()
-    return np.maximum(weights, floor_frac)
+    w2 = np.broadcast_to(np.asarray(w_d, dtype=float) ** 2, (J.shape[0],))
+    squared = J.multiply(J) if sp.issparse(J) else J * J
+    weights = np.sqrt(squared.T @ w2)
+    return np.maximum(weights / weights.max(), SENSITIVITY_FLOOR)
 
 
-def _power_iteration_step(hv, n: int, iters: int = 12, seed: int = 0) -> float:
+def _power_iteration_step(hv, n: int) -> float:
     """Largest eigenvalue estimate of a symmetric PSD operator."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = rng.normal(size=n)
     v /= np.linalg.norm(v)
     lam = 1.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERATIONS):
         u = hv(v)
         lam = float(v @ u)
         norm = np.linalg.norm(u)
@@ -359,8 +332,7 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
                         beta_cooling: float = 1.0,
                         target_misfit: float | None = None,
                         gn_cg_maxiter: int = 20,
-                        gn_cg_rtol: float = 1e-3,
-                        sens_seed: int = 0) -> InversionResult:
+                        gn_cg_rtol: float = 1e-3) -> InversionResult:
     """Model-space inversion from a reference starting model.
 
     gradient_descent: steepest descent with Armijo backtracking.  The
@@ -394,13 +366,11 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
     converged = False
     status = "ok"
 
-    use_irls = reg is not None and min(reg.config.p_s, reg.config.p_x,
-                                       reg.config.p_z) < 2.0
+    use_irls = reg is not None and any(p < 2.0 for _, p, _ in reg.terms)
 
     d_pred = simulator.predict(m)
     if reg is not None and reg.config.sensitivity_weighting:
-        reg.set_cell_weights(estimate_sensitivity_weights(
-            simulator, w, len(m), seed=sens_seed))
+        reg.set_cell_weights(sensitivity_weights(simulator.sensitivity(), w))
 
     def normal_matvec():
         """v -> (J^T W^2 J + beta H_reg) v at the current linearization."""
@@ -438,8 +408,7 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
 
         if optimizer == "gradient_descent":
             if step0 is None:
-                step0 = 1.0 / _power_iteration_step(normal_matvec(), len(m),
-                                                    seed=1)
+                step0 = 1.0 / _power_iteration_step(normal_matvec(), len(m))
             direction = -grad
             step = step0
         else:

@@ -26,7 +26,7 @@ DESK_HIDDEN = [64, 128, 128, 128, 128, 64]
 def sub_seed(master: int, name: str) -> int:
     """Derive a named child seed: sha256 of "master:name", first 4 bytes.
 
-    Gives the init / noise / grf / encoding / sens streams independent
+    Gives the init / noise / grf / encoding streams independent
     seeds that are stable across runs and platforms.
     """
     digest = hashlib.sha256(f"{master}:{name}".encode()).digest()

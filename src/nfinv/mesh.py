@@ -240,14 +240,19 @@ def write_grid_csv(path, values: np.ndarray, nx: int, nz: int,
 def read_grid_csv(path) -> tuple[np.ndarray, int, int, float, float]:
     """Read a grid written by :func:`write_grid_csv`.
 
-    Returns (values flattened row-major, nx, nz, dx, dz).
+    Returns (values flattened row-major, nx, nz, dx, dz); a malformed
+    file or a non-finite value raises ValueError.
     """
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
+    if not rows or len(rows[0]) != 4:
+        raise ValueError("the first line must be the header nx,nz,dx,dz")
     nx, nz = int(rows[0][0]), int(rows[0][1])
     dx, dz = float(rows[0][2]), float(rows[0][3])
     data = np.array([[float(v) for v in row] for row in rows[1:]])
     if data.shape != (nz, nx):
         raise ValueError(f"grid body {data.shape} does not match header "
                          f"({nz} rows x {nx} cols)")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("grid values must be finite")
     return data.ravel(), nx, nz, dx, dz

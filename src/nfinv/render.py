@@ -92,14 +92,21 @@ def read_png(path) -> tuple[np.ndarray, dict]:
 def render_heatmap(grid_csv, out_path, vmin: float | None = None,
                    vmax: float | None = None, scale: int = 8,
                    colorbar: bool = True) -> np.ndarray:
-    """Render a grid CSV to a PNG heatmap; returns the pixel array.
+    """Render a grid CSV to a PNG heatmap; see :func:`render_grid`."""
+    values, nx, nz, _, _ = read_grid_csv(grid_csv)
+    return render_grid(values.reshape(nz, nx), out_path, vmin, vmax, scale,
+                       colorbar)
+
+
+def render_grid(grid: np.ndarray, out_path, vmin: float | None = None,
+                vmax: float | None = None, scale: int = 8,
+                colorbar: bool = True) -> np.ndarray:
+    """Render an (nz, nx) grid to a PNG heatmap; returns the pixel array.
 
     Each cell becomes a ``scale`` x ``scale`` pixel block; an optional
     color strip on the right spans the value range top (max) to bottom
     (min).  The numeric range is recorded in a tEXt chunk.
     """
-    values, nx, nz, _, _ = read_grid_csv(grid_csv)
-    grid = values.reshape(nz, nx)
     lo = float(grid.min()) if vmin is None else float(vmin)
     hi = float(grid.max()) if vmax is None else float(vmax)
     if hi > lo:

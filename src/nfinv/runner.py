@@ -243,7 +243,7 @@ def run_conventional(man: dict, asm: Assembled):
         optimizer=conv["optimizer"],
         max_iterations=int(conv["max_iterations"]),
         beta0=conv["beta0"], beta_cooling=conv["beta_cooling"],
-        target_misfit=target, sens_seed=sub_seed(man["seed"], "sens"))
+        target_misfit=target)
 
 
 def compute_metrics(man: dict, asm: Assembled, result) -> dict:

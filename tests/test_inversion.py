@@ -10,8 +10,8 @@ from nfinv.inversion import (
     RegularizationConfig,
     conventional_invert,
     data_misfit,
-    estimate_sensitivity_weights,
     nfs_invert,
+    sensitivity_weights,
 )
 from nfinv.manifest import default_manifest
 from nfinv.mesh import build_tomo_mesh, normalized_centers
@@ -128,19 +128,63 @@ class TestRegularization:
         quad = v0 + g0 @ d + 0.5 * d @ (reg.hessian() @ d)
         assert v1 == pytest.approx(quad, rel=1e-12)
 
+    def test_cell_weights_match_hand_written_terms(self):
+        # every cell and face of a 3x2 grid written out as its own row
+        # k * (g . m - b)^2; face weights average the two cells' weights
+        nx, nz, dx, dz, eps = 3, 2, 2.0, 0.5, 0.5
+        n, v = nx * nz, dx * dz
+        cfg = RegularizationConfig(alpha_s=0.3, alpha_x=0.7, alpha_z=1.1,
+                                   p_s=1.0, p_x=0.5, p_z=2.0, m_ref=0.2,
+                                   irls_epsilon=eps)
+        reg = Regularization(cfg, nx=nx, nz=nz, dx=dx, dz=dz)
+        rng = np.random.default_rng(9)
+        c = rng.uniform(0.1, 2.0, n)
+        m0, m = rng.normal(size=n), rng.normal(size=n)
+        reg.set_cell_weights(c)
+        reg.update_irls(m0)
+
+        def irls(r, p):
+            return (r * r + eps * eps) ** (p / 2.0 - 1.0)
+
+        rows = []
+        for i in range(n):
+            g = np.zeros(n)
+            g[i] = 1.0
+            rows.append((0.3 * v * c[i] * irls(m0[i] - 0.2, 1.0), g, 0.2))
+        for a, b, h, alpha, p in (
+                [(r * nx + k, r * nx + k + 1, dx, 0.7, 0.5)
+                 for r in range(nz) for k in range(nx - 1)]
+                + [(r * nx + k, (r + 1) * nx + k, dz, 1.1, 2.0)
+                   for r in range(nz - 1) for k in range(nx)]):
+            g = np.zeros(n)
+            g[a], g[b] = -1.0 / h, 1.0 / h
+            rows.append((alpha * v * (c[a] + c[b]) / 2.0 * irls(g @ m0, p),
+                         g, 0.0))
+        assert len(rows) == n + nz * (nx - 1) + (nz - 1) * nx
+
+        value, grad = reg.value_and_grad(m)
+        assert value == pytest.approx(
+            sum(k * (g @ m - b) ** 2 for k, g, b in rows), rel=1e-12)
+        assert np.allclose(grad, sum(2.0 * k * (g @ m - b) * g
+                                     for k, g, b in rows), rtol=1e-12, atol=0)
+        assert np.allclose(reg.hessian().toarray(),
+                           sum(2.0 * k * np.outer(g, g) for k, g, _ in rows),
+                           rtol=1e-12, atol=0)
+
     def test_irls_weights_formula(self):
         cfg = RegularizationConfig(alpha_s=1.0, p_s=1.0, irls_epsilon=0.1)
         reg = Regularization(cfg, nx=2, nz=1, dx=1.0, dz=1.0)
         m = np.array([0.0, 3.0])
         reg.update_irls(m)
         want = (m ** 2 + 0.01) ** (-0.5)
-        assert np.allclose(reg.w_s, want)
+        assert np.allclose(reg.irls_weights[0], want)
 
     def test_p0_limit_form(self):
         cfg = RegularizationConfig(alpha_s=1.0, p_s=0.0, irls_epsilon=0.1)
         reg = Regularization(cfg, nx=2, nz=1, dx=1.0, dz=1.0)
         reg.update_irls(np.array([0.0, 3.0]))
-        assert np.allclose(reg.w_s, (np.array([0.0, 9.0]) + 0.01) ** -1.0)
+        assert np.allclose(reg.irls_weights[0],
+                           (np.array([0.0, 9.0]) + 0.01) ** -1.0)
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
@@ -415,12 +459,40 @@ class TestConventional:
         assert artifact(unreg.model) > artifact(smooth.model)
 
 
-def test_sensitivity_weights_exact_for_diagonal_jacobian():
-    diag = np.array([4.0, 1.0, 0.25, 9.0])
-    sim = LinearSimulator(np.diag(diag))
-    w = estimate_sensitivity_weights(sim, 1.0, 4, n_probes=4, seed=0)
-    want = diag / diag.max()  # sqrt of diag(J^T J) = diag, normalized
-    assert np.allclose(w, want)
+@pytest.mark.parametrize("kind", ["dense", "ray_matrix"])
+def test_sensitivity_weights_are_column_norms(kind):
+    rng = np.random.default_rng(10)
+    if kind == "dense":
+        J = rng.normal(size=(9, 6))
+        J[:, 4] *= 1e-5  # below the floor
+        dense = J
+    else:
+        mesh = build_tomo_mesh(6, 8, 1.0, 1.0)
+        J = build_ray_matrix(mesh, build_crosshole_survey(mesh, 2.0)).A
+        dense = J.toarray()
+    w_d = rng.uniform(0.5, 2.0, dense.shape[0])
+    norms = np.array([np.sqrt(sum((w_d[i] * dense[i, c]) ** 2
+                                  for i in range(dense.shape[0])))
+                      for c in range(dense.shape[1])])
+    want = np.maximum(norms / norms.max(), 1e-3)
+    got = sensitivity_weights(J, w_d)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    assert got.max() == 1.0
+    if kind == "dense":
+        assert got[4] == 1e-3
+
+
+def test_gauss_newton_weights_terms_by_exact_sensitivity():
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(8, 6))
+    w_d = rng.uniform(0.5, 2.0, 8)
+    cfg = RegularizationConfig(alpha_s=1.0, alpha_x=1.0,
+                               sensitivity_weighting=True)
+    reg = Regularization(cfg, nx=3, nz=2, dx=1.0, dz=1.0)
+    conventional_invert(LinearSimulator(A), rng.normal(size=8), w_d,
+                        np.zeros(6), reg=reg, optimizer="gauss_newton",
+                        max_iterations=1)
+    assert np.array_equal(reg.term_weights[0], sensitivity_weights(A, w_d))
 
 
 @pytest.fixture(scope="module")

@@ -344,7 +344,33 @@ class TestCli:
         assert main(["render", "--grid", str(csv), "--out", str(out)]) == 0
         assert out.exists()
 
-    def test_svd_verb(self, tmp_path):
+    @pytest.mark.parametrize("argv, option", [
+        (["render", "--grid", "missing.csv", "--out", "g.png"], "--grid"),
+        (["render", "--grid", "words.csv", "--out", "g.png"], "--grid"),
+        (["render", "--grid", "nan.csv", "--out", "g.png"], "--grid"),
+        (["render", "--grid", "g.csv", "--scale", "-1", "--out", "g.png"],
+         "--scale"),
+        (["render", "--grid", "g.csv", "--scale", "0", "--out", "g.png"],
+         "--scale"),
+        (["render", "--grid", "g.csv", "--out", "no_dir/g.png"], "--out"),
+        (["make-scenario", "--case", "1", "--out", "no_dir/m.json"], "--out"),
+        (["simulate", "--manifest", "m.json", "--out", "a_file"], "--out"),
+        (["invert", "--manifest", "m.json", "--out", "a_file"], "--out"),
+    ])
+    def test_bad_paths_and_options_exit_2(self, tmp_path, monkeypatch,
+                                          capsys, argv, option):
+        from nfinv.mesh import write_grid_csv
+        monkeypatch.chdir(tmp_path)
+        write_grid_csv("g.csv", np.arange(6.0), nx=3, nz=2, dx=1.0, dz=1.0)
+        (tmp_path / "words.csv").write_text("nx,nz,dx,dz\n1,2,3\n")
+        (tmp_path / "nan.csv").write_text("2,1,1.0,1.0\n0.5,nan\n")
+        (tmp_path / "a_file").write_text("")
+        save_manifest(tiny_case1(epochs=1), "m.json")
+        assert main(argv) == 2
+        assert f"invalid input at {option}:" in capsys.readouterr().err
+        assert not (tmp_path / "g.png").exists()
+
+    def test_svd_verb(self, tmp_path, monkeypatch, capsys):
         man = tiny_case1(epochs=3)
         man["encoding"] = {"kind": "identity", "coord_range": [0.0, 1.0]}
         man_path = tmp_path / "man.json"
@@ -357,6 +383,13 @@ class TestCli:
                      "--checkpoint", str(run_dir / "weights_final.ckpt"),
                      "--k", "3", "--out", str(svd_dir)]) == 0
         assert (svd_dir / "spectrum.csv").exists()
+        # an --out that is a file exits 2 before the analysis starts
+        monkeypatch.setattr("nfinv.svd_analysis.analyze_trained_network",
+                            None)
+        assert main(["svd", "--manifest", str(man_path),
+                     "--checkpoint", str(run_dir / "weights_final.ckpt"),
+                     "--k", "3", "--out", str(man_path)]) == 2
+        assert "invalid input at --out:" in capsys.readouterr().err
 
     def test_simulate_verb(self, tmp_path):
         man_path = tmp_path / "man.json"
