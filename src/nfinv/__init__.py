@@ -38,7 +38,6 @@ from nfinv.tomo import (
     TomoSimulator,
     build_crosshole_survey,
     build_ray_matrix,
-    tomo_predict,
 )
 from nfinv.dcr import (
     DcrSimulator,
@@ -124,7 +123,6 @@ __all__ = [
     "save_checkpoint",
     "simulate_case",
     "sub_seed",
-    "tomo_predict",
     "truncated_svd",
     "vjp",
     "weight_jacobian",

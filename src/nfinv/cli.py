@@ -18,7 +18,8 @@ from nfinv.errors import ManifestError, SolverError
 def _add_common_overrides(p: argparse.ArgumentParser):
     p.add_argument("--method", choices=["nfs", "conventional"], default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=None, help="iteration "
+                   "budget: epochs (nfs) or conventional.max_iterations")
 
 
 def _apply_overrides(man: dict, args) -> dict:
@@ -27,7 +28,11 @@ def _apply_overrides(man: dict, args) -> dict:
     if getattr(args, "seed", None) is not None:
         man["seed"] = args.seed
     if getattr(args, "epochs", None) is not None:
-        man["epochs"] = args.epochs
+        if man.get("method") != "conventional":
+            man["epochs"] = args.epochs
+        elif isinstance(man.get("conventional"), dict):
+            # a malformed block is left for validation to name
+            man["conventional"]["max_iterations"] = args.epochs
     return man
 
 
@@ -162,17 +167,21 @@ def _verb_report(args) -> int:
         path = os.path.join(d, "metrics.json")
         try:
             with open(path) as f:
-                rows.append((d, json.load(f)))
-        except (OSError, ValueError) as exc:
+                m = json.load(f)
+            if not isinstance(m, dict):
+                raise TypeError("must hold a JSON object")
+            rows.append(f"{d:<28} {m['case']:>4} {m['method']:>12} "
+                        f"{m['rmse']:>12.5g} {m['chi2_per_datum']:>10.4g} "
+                        f"{m['epochs_run']:>7} {m['status']:>18} "
+                        f"{m['gn_cg_unconverged']:>17}")
+        except KeyError as exc:
+            raise ManifestError(path, f"lacks the key {exc}") from exc
+        except (OSError, ValueError, TypeError) as exc:
             raise ManifestError(path, str(exc)) from exc
     print(f"{'run':<28} {'case':>4} {'method':>12} {'rmse':>12} "
           f"{'chi2':>10} {'epochs':>7} {'status':>18} "
           f"{'gn_cg_unconverged':>17}")
-    for d, m in rows:
-        print(f"{d:<28} {m['case']:>4} {m['method']:>12} "
-              f"{m['rmse']:>12.5g} {m['chi2_per_datum']:>10.4g} "
-              f"{m['epochs_run']:>7} {m['status']:>18} "
-              f"{m['gn_cg_unconverged']:>17}")
+    print("\n".join(rows))
     return 0
 
 

@@ -214,16 +214,6 @@ class PolePotentials:
         return (g * g * di / (area * s[fi] ** 2),
                 g * g * dj / (area * s[fj] ** 2), b_area / b_dist)
 
-    @property
-    def _live_boundary(self) -> bool:
-        """Whether a boundary face touches an active cell.
-
-        The Dirichlet faces lie on the outermost left, right and bottom
-        cells, which are frozen padding on every padded mesh; their terms
-        then only reach cells the derivatives drop.
-        """
-        return bool(self.mesh.active_mask[self.mesh.faces[5]].any())
-
     def gradient(self, cotangent: np.ndarray) -> np.ndarray:
         """Gradient of (cotangent . data) w.r.t. active log10-conductivity."""
         v = np.asarray(cotangent, dtype=float)
@@ -242,13 +232,11 @@ class PolePotentials:
         dg_i, dg_j, dgb = self._dg
         dphi = self.phi[fi] - self.phi[fj]
         wf = np.einsum("fe,fe->f", dphi @ W, dphi)
+        phib = self.phi[bc]
+        wb = np.einsum("fe,fe->f", phib @ W, phib)
         nc = self.mesh.n_cells
         grad_sigma = np.bincount(fi, wf * dg_i, nc) \
-            + np.bincount(fj, wf * dg_j, nc)
-        if self._live_boundary:
-            phib = self.phi[bc]
-            wb = np.einsum("fe,fe->f", phib @ W, phib)
-            grad_sigma += np.bincount(bc, wb * dgb, nc)
+            + np.bincount(fj, wf * dg_j, nc) + np.bincount(bc, wb * dgb, nc)
         grad_sigma *= -1.0 / self.survey.current
         act = self.mesh.active_indices
         return grad_sigma[act] * self.sigma[act] * LN10
@@ -283,9 +271,8 @@ class PolePotentials:
         fi, fj, *_, bc, _, _ = self.mesh.faces
         dg_i, dg_j, dgb = self._dg
         terms = [(self.phi[fi] - self.phi[fj],
-                  self._face_to_active((fi, fj), (dg_i, dg_j)))]
-        if self._live_boundary:
-            terms.append((self.phi[bc], self._face_to_active((bc,), (dgb,))))
+                  self._face_to_active((fi, fj), (dg_i, dg_j))),
+                 (self.phi[bc], self._face_to_active((bc,), (dgb,)))]
         abmn = self.survey.abmn
         new_src = np.any(abmn[1:, :2] != abmn[:-1, :2], axis=1)
         edges = np.concatenate([[0], np.flatnonzero(new_src) + 1,
@@ -294,8 +281,9 @@ class PolePotentials:
         for d in map(slice, edges[:-1], edges[1:]):
             a, b = abmn[d.start, :2]
             m, n = abmn[d, 2], abmn[d, 3]
-            J[d] = sum(C @ ((p[:, m] - p[:, n]) * (p[:, a] - p[:, b])[:, None])
-                       for p, C in terms).T
+            # the interior plus the boundary term, summed into J in place
+            np.add(*(C @ ((p[:, m] - p[:, n]) * (p[:, a] - p[:, b])[:, None])
+                     for p, C in terms), out=J[d].T)
         return J
 
 
@@ -320,14 +308,6 @@ class DcrSimulator:
         self.background_sigma = background_sigma
         self._cells = electrode_cells(mesh, survey)  # validates geometry
         self._poles: PolePotentials | None = None
-
-    @property
-    def n_data(self) -> int:
-        return self.survey.n_data
-
-    @property
-    def n_model(self) -> int:
-        return self.mesh.n_active
 
     def predict(self, m: np.ndarray) -> np.ndarray:
         """Data at model m; SolverError if 10**m is not finite and > 0."""

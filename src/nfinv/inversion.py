@@ -58,15 +58,19 @@ class CoolingSchedule:
         return float(np.exp(-t / self.tau))
 
 
+# the IRLS stabilization epsilon at the first reweighting
+IRLS_EPSILON = 1e-4
+
+
 @dataclass(frozen=True)
 class RegularizationConfig:
     """Smallness plus directional smoothness with per-term norm exponents.
 
     Exponents below 2 are handled by iteratively reweighted least squares
-    with stabilization (r^2 + eps^2)^(p/2 - 1); p = 0 uses the same limit
-    form.  ``sensitivity_weighting`` asks the conventional driver to fold
-    exact forward-sensitivity weights (``sensitivity_weights``) into all
-    terms.
+    with stabilization (r^2 + eps^2)^(p/2 - 1), eps starting at
+    ``IRLS_EPSILON``; p = 0 uses the same limit form.
+    ``sensitivity_weighting`` asks the conventional driver to fold exact
+    forward-sensitivity weights (``sensitivity_weights``) into all terms.
     """
 
     alpha_s: float = 0.0
@@ -76,7 +80,6 @@ class RegularizationConfig:
     p_x: float = 2.0
     p_z: float = 2.0
     m_ref: float = 0.0
-    irls_epsilon: float = 1e-4
     sensitivity_weighting: bool = False
 
     def __post_init__(self):
@@ -85,9 +88,6 @@ class RegularizationConfig:
         for p in (self.p_s, self.p_x, self.p_z):
             if not 0.0 <= p <= 2.0:
                 raise ValueError(f"norm exponent must lie in [0, 2], got {p}")
-        if (min(self.p_s, self.p_x, self.p_z) < 2.0
-                and self.irls_epsilon <= 0):
-            raise ValueError("p < 2 requires irls_epsilon > 0")
 
 
 def _difference_operator(nx: int, nz: int, dx: float, dz: float):
@@ -115,7 +115,7 @@ class Regularization:
         self.config = config
         self.n = nx * nz
         self.volume = dx * dz  # uniform core cells
-        self.epsilon = config.irls_epsilon
+        self.epsilon = IRLS_EPSILON
         Dx, Dz = _difference_operator(nx, nz, dx, dz)
         self.terms = [term for term in ((config.alpha_s, config.p_s, None),
                                         (config.alpha_x, config.p_x, Dx),
@@ -289,6 +289,9 @@ def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
 
 
 SENSITIVITY_FLOOR = 1e-3
+# the inner conjugate-gradient solve of each Gauss-Newton step
+GN_CG_MAXITER = 20
+GN_CG_RTOL = 1e-3
 # the power iteration that sets the first gradient-descent step; its seed
 # fixes the case-1/2 conventional runs
 _POWER_ITERATIONS = 12
@@ -330,16 +333,15 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
                         max_iterations: int = 200,
                         beta0: float = 1.0,
                         beta_cooling: float = 1.0,
-                        target_misfit: float | None = None,
-                        gn_cg_maxiter: int = 20,
-                        gn_cg_rtol: float = 1e-3) -> InversionResult:
+                        target_misfit: float | None = None) -> InversionResult:
     """Model-space inversion from a reference starting model.
 
     gradient_descent: steepest descent with Armijo backtracking.  The
     first trial step is the inverse of a Lipschitz power-iteration
     estimate; after each accepted step the next trial step is twice the
     accepted one, capped at 64 times the previous trial step.
-    gauss_newton: inexact Newton with conjugate-gradient inner solves on
+    gauss_newton: inexact Newton with conjugate-gradient inner solves
+    (``GN_CG_MAXITER`` iterations, relative tolerance ``GN_CG_RTOL``) on
     J^T W^2 J + beta * H_reg, a backtracking line search, multiplicative
     beta cooling between outer iterations, and IRLS weight refreshes (with
     epsilon cooling) when any norm exponent is below 2.  Each CG product
@@ -413,8 +415,8 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
             step = step0
         else:
             op = spla.LinearOperator((len(m), len(m)), matvec=normal_matvec())
-            direction, info = spla.cg(op, -grad, rtol=gn_cg_rtol,
-                                      maxiter=gn_cg_maxiter)
+            direction, info = spla.cg(op, -grad, rtol=GN_CG_RTOL,
+                                      maxiter=GN_CG_MAXITER)
             cg_info.append(info)
             step = 1.0
 

@@ -117,11 +117,6 @@ class TensorMesh:
         return (float(self.cell_x_edges[self.n_pad]),
                 float(self.cell_x_edges[self.n_pad + self.nx_core]))
 
-    @property
-    def core_z_extent(self) -> tuple[float, float]:
-        return (float(self.cell_z_edges[0]),
-                float(self.cell_z_edges[self.nz_core]))
-
     def to_dict(self) -> dict:
         """Edge arrays and core layout, for the run manifest."""
         return {

@@ -41,12 +41,8 @@ class Mlp:
         return self.layer_dims[0]
 
     @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    @property
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return param_count(self.layer_dims)
 
 
 def param_count(layer_dims) -> int:

@@ -72,18 +72,13 @@ def assemble(man: dict) -> Assembled:
     case = man["case"]
     seed = man["seed"]
     mesh_cfg = man["mesh"]
+    tm = man["true_model"]
 
     if case in (1, 2):
         mesh = build_tomo_mesh(mesh_cfg["nx"], mesh_cfg["nz"],
                                mesh_cfg["dx"], mesh_cfg["dz"])
-        tm = man["true_model"]
         if case == 1:
-            truth = make_case1(
-                mesh,
-                background_velocity=tm["background_velocity"],
-                block_velocity=tm["block_velocity"],
-                block_center_frac=tuple(tm["block_center_frac"]),
-                block_side_frac=tm["block_side_frac"])
+            truth = make_case1(mesh, **tm)
         else:
             grf_cfg = tm["grf"]
             grf = GrfSpec(variance=grf_cfg["variance"],
@@ -97,16 +92,14 @@ def assemble(man: dict) -> Assembled:
         except ValueError as exc:
             raise ManifestError("survey.spacing", str(exc)) from exc
         simulator = tomo.TomoSimulator(tomo.build_ray_matrix(mesh, survey))
-        d_clean = tomo.tomo_predict(simulator.ray_matrix, truth)
         noise = NoiseSpec(kind="absolute_gaussian",
                           std=man["noise"]["std_ms"] * 1e-3,
                           seed=sub_seed(seed, "noise"))
-        background = 1.0 / man["true_model"]["background_velocity"]
+        background = 1.0 / tm["background_velocity"]
     else:
         mesh = build_dcr_mesh(mesh_cfg["nx_core"], mesh_cfg["nz_core"],
                               mesh_cfg["dx"], mesh_cfg["dz"],
                               mesh_cfg["n_pad"], mesh_cfg["pad_factor"])
-        tm = man["true_model"]
         if case == 3:
             truth = make_case3(mesh, **tm)
         else:
@@ -128,13 +121,13 @@ def assemble(man: dict) -> Assembled:
         except GeometryError as exc:
             raise ManifestError("survey.line_length" if sv["x0"] is None
                                 else "survey.x0", str(exc)) from exc
-        d_clean = simulator.predict(truth)
         noise = NoiseSpec(kind="relative_gaussian",
                           rel_fraction=man["noise"]["rel_fraction"],
                           floor=man["noise"]["floor_v"],
                           seed=sub_seed(seed, "noise"))
         background = man["conventional"]["m_ref"]
 
+    d_clean = simulator.predict(truth)
     d_obs, w_d = add_noise(d_clean, noise)
     return Assembled(mesh=mesh, truth=truth, survey=survey,
                      simulator=simulator, d_clean=d_clean, d_obs=d_obs,
@@ -142,19 +135,12 @@ def assemble(man: dict) -> Assembled:
 
 
 def _write_data_files(man: dict, asm: Assembled, out_dir: str) -> None:
-    unc = 1.0 / asm.w_d
-    if man["case"] in (1, 2):
-        tomo.write_tomo_data_csv(os.path.join(out_dir, "data_clean.csv"),
-                                 asm.survey, asm.d_clean,
-                                 np.zeros_like(asm.d_clean))
-        tomo.write_tomo_data_csv(os.path.join(out_dir, "data_obs.csv"),
-                                 asm.survey, asm.d_obs, unc)
-    else:
-        dcr.write_dcr_data_csv(os.path.join(out_dir, "data_clean.csv"),
-                               asm.survey, asm.d_clean,
-                               np.zeros_like(asm.d_clean))
-        dcr.write_dcr_data_csv(os.path.join(out_dir, "data_obs.csv"),
-                               asm.survey, asm.d_obs, unc)
+    write = (tomo.write_tomo_data_csv if man["case"] in (1, 2)
+             else dcr.write_dcr_data_csv)
+    write(os.path.join(out_dir, "data_clean.csv"), asm.survey, asm.d_clean,
+          np.zeros_like(asm.d_clean))
+    write(os.path.join(out_dir, "data_obs.csv"), asm.survey, asm.d_obs,
+          1.0 / asm.w_d)
 
 
 def _write_model_grid(mesh: TensorMesh, values: np.ndarray, out_dir: str,
@@ -278,25 +264,27 @@ def _write_echo(man: dict, asm: Assembled, out_dir: str) -> None:
     save_manifest(echo, os.path.join(out_dir, "manifest_echo.json"))
 
 
-def simulate_case(man: dict, out_dir) -> dict:
-    """Forward-only run: truth, clean data, noisy data, manifest echo."""
-    out_dir = str(out_dir)
+def _simulate(man: dict, out_dir: str) -> Assembled:
+    """Assemble the manifest and write its echo, truth and data files."""
     os.makedirs(out_dir, exist_ok=True)
     asm = assemble(man)
     _write_echo(man, asm, out_dir)
     _write_model_grid(asm.mesh, asm.truth, out_dir, "truth")
     _write_data_files(man, asm, out_dir)
+    return asm
+
+
+def simulate_case(man: dict, out_dir) -> dict:
+    """Forward-only run: truth, clean data, noisy data, manifest echo."""
+    out_dir = str(out_dir)
+    asm = _simulate(man, out_dir)
     return {"n_data": len(asm.d_obs), "out_dir": out_dir}
 
 
 def run_case(man: dict, out_dir) -> dict:
     """Full seeded run; returns the metrics dict (also written to disk)."""
     out_dir = str(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    asm = assemble(man)
-    _write_echo(man, asm, out_dir)
-    _write_model_grid(asm.mesh, asm.truth, out_dir, "truth")
-    _write_data_files(man, asm, out_dir)
+    asm = _simulate(man, out_dir)
 
     if man["method"] == "nfs":
         result, mlp, Z = run_nfs(man, asm, out_dir)

@@ -40,12 +40,6 @@ class SvdResult:
     def k(self) -> int:
         return len(self.values)
 
-    def decay_ratio(self, i: int = 0, j: int = 9) -> float:
-        """lambda_{i+1} / lambda_{j+1} of the retained spectrum."""
-        if j >= self.k:
-            raise ValueError(f"need at least {j + 1} singular values")
-        return float(self.values[i] / self.values[j])
-
 
 def _fix_signs(U: np.ndarray, V: np.ndarray):
     # SVD sign ambiguity: make each U column's largest-magnitude entry
@@ -118,7 +112,7 @@ def analyze_trained_network(mlp: Mlp, Z, k: int, grid_shape: tuple[int, int],
         sidecar = {"k": result.k, "grid_shape": [W, H],
                    "param_count": mlp.param_count}
         if result.k >= 10:
-            sidecar["decay_ratio_1_10"] = result.decay_ratio(0, 9)
+            sidecar["decay_ratio_1_10"] = result.values[0] / result.values[9]
         with open(os.path.join(out_dir, "svd_manifest.json"), "w") as f:
             json.dump(sidecar, f, indent=2, sort_keys=True)
     return result

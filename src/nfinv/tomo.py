@@ -44,10 +44,6 @@ class RayMatrix:
     A: sp.csr_matrix
     ray_lengths: np.ndarray
 
-    @property
-    def n_data(self) -> int:
-        return self.A.shape[0]
-
 
 def build_crosshole_survey(mesh: TensorMesh, spacing: float) -> CrossholeSurvey:
     """Evenly spaced sources/receivers on opposite vertical edges.
@@ -125,35 +121,16 @@ def build_ray_matrix(mesh: TensorMesh, survey: CrossholeSurvey) -> RayMatrix:
     return RayMatrix(A=A, ray_lengths=lengths)
 
 
-def tomo_predict(ray_matrix: RayMatrix, slowness: np.ndarray) -> np.ndarray:
-    """First-arrival times (s) for a positive slowness model (s/m)."""
-    slowness = np.asarray(slowness, dtype=float)
-    if slowness.shape != (ray_matrix.A.shape[1],):
-        raise ValueError(f"slowness length {slowness.shape} does not match "
-                         f"{ray_matrix.A.shape[1]} cells")
-    if np.any(slowness <= 0):
-        raise ValueError("slowness must be positive everywhere")
-    return ray_matrix.A @ slowness
-
-
 class TomoSimulator:
-    """Linear forward map and its adjoint for the inversion loop.
+    """Linear forward map and its adjoint.
 
-    Unlike :func:`tomo_predict` this does not enforce positivity: inversion
-    iterates (tanh-head networks, unregularized descent) may wander through
-    non-physical slowness values.
+    Slowness of any sign is accepted: inversion iterates (tanh-head
+    networks, unregularized descent) may wander through non-physical
+    values.
     """
 
     def __init__(self, ray_matrix: RayMatrix):
         self.ray_matrix = ray_matrix
-
-    @property
-    def n_data(self) -> int:
-        return self.ray_matrix.n_data
-
-    @property
-    def n_model(self) -> int:
-        return self.ray_matrix.A.shape[1]
 
     def predict(self, m: np.ndarray) -> np.ndarray:
         return self.ray_matrix.A @ m

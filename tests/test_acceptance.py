@@ -45,7 +45,6 @@ from nfinv.tomo import (
     TomoSimulator,
     build_crosshole_survey,
     build_ray_matrix,
-    tomo_predict,
 )
 
 PAPER_HIDDEN = (128, 256, 256, 256, 256, 128)
@@ -117,8 +116,8 @@ def test_criterion_3_tomography_forward_oracle():
         mesh = build_tomo_mesh(64, 128, 1.0, 1.0)
         survey = build_crosshole_survey(mesh, 1.0)
         rm = build_ray_matrix(mesh, survey)
-        assert rm.n_data == 16384
-        t = tomo_predict(rm, np.full(mesh.n_cells, 1.0 / 1000.0))
+        assert rm.A.shape[0] == 16384
+        t = rm.A @ np.full(mesh.n_cells, 1.0 / 1000.0)
         want = rm.ray_lengths / 1000.0
         assert np.max(np.abs(t - want) / want) < 1e-9
         sums = np.asarray(rm.A.sum(axis=1)).ravel()
@@ -193,8 +192,8 @@ def test_criterion_5_gradient_adjoint_suite():
         tmesh = build_tomo_mesh(16, 32, 1.0, 1.0)
         tsim = TomoSimulator(build_ray_matrix(
             tmesh, build_crosshole_survey(tmesh, 2.0)))
-        s = rng.normal(size=tsim.n_model)
-        uu = rng.normal(size=tsim.n_data)
+        s = rng.normal(size=tmesh.n_cells)
+        uu = rng.normal(size=tsim.ray_matrix.A.shape[0])
         lhs = float(tsim.predict(s) @ uu)
         rhs = float(s @ tsim.gradient(uu))
         assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < 1e-12
@@ -333,7 +332,7 @@ def test_artifact_suppression_at_natural_stopping(case1_desk,
         rows = []
         for seed, d_obs, w_d, res_n in case1_nfs_runs:
             res_c = conventional_invert(
-                sim, d_obs, w_d, np.full(sim.n_model, 1e-3), reg=None,
+                sim, d_obs, w_d, np.full(mesh.n_cells, 1e-3), reg=None,
                 optimizer="gradient_descent", max_iterations=800)
             rows.append((_case1_metrics(res_n.model, truth),
                          _case1_metrics(res_c.model, truth)))
@@ -390,7 +389,7 @@ def test_criterion_9_encoding_ablation():
         truth = make_case2(mesh, GrfSpec(100.0 ** 2, 12.0, 8.0, seed=11),
                            EllipseSpec())
         d_clean = sim.predict(truth)
-        n = sim.n_data
+        n = survey.n_data
         target = 1.05 * n / 2  # both encodings reach this comfortably
 
         hf = {"identity": [], "gaussian": []}

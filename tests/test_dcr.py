@@ -464,23 +464,6 @@ def test_sensitivity_transpose_is_gradient(which):
         sim.jvp(dm[:-1])
 
 
-def test_dead_boundary_terms_skipped_exactly(monkeypatch):
-    # on a padded mesh every boundary face sits on frozen padding: skipping
-    # its terms must give the very same numbers as adding them
-    mesh, survey = desk_case3()
-    rng = np.random.default_rng(17)
-    m = -2.0 + rng.normal(0.0, 0.3, mesh.n_active)
-    system = assemble_system(mesh, embed_core(mesh, 10.0 ** m, 0.01))
-    v = rng.normal(size=survey.n_data)
-    skipped = PolePotentials(system, survey)
-    got = (skipped.gradient(v), skipped.sensitivity)
-    monkeypatch.setattr(PolePotentials, "_live_boundary",
-                        property(lambda self: True))
-    full = PolePotentials(system, survey)
-    assert np.array_equal(got[0], full.gradient(v))
-    assert np.array_equal(got[1], full.sensitivity)
-
-
 def test_sensitivity_kept_per_predict_without_solve(monkeypatch):
     mesh, survey = desk_case3()
     sim = DcrSimulator(mesh, survey, background_sigma=0.01)

@@ -26,7 +26,6 @@ class LinearSimulator:
 
     def __init__(self, A):
         self.A = np.asarray(A, dtype=float)
-        self.n_data, self.n_model = self.A.shape
 
     def predict(self, m):
         return self.A @ m
@@ -134,9 +133,9 @@ class TestRegularization:
         nx, nz, dx, dz, eps = 3, 2, 2.0, 0.5, 0.5
         n, v = nx * nz, dx * dz
         cfg = RegularizationConfig(alpha_s=0.3, alpha_x=0.7, alpha_z=1.1,
-                                   p_s=1.0, p_x=0.5, p_z=2.0, m_ref=0.2,
-                                   irls_epsilon=eps)
+                                   p_s=1.0, p_x=0.5, p_z=2.0, m_ref=0.2)
         reg = Regularization(cfg, nx=nx, nz=nz, dx=dx, dz=dz)
+        reg.epsilon = eps
         rng = np.random.default_rng(9)
         c = rng.uniform(0.1, 2.0, n)
         m0, m = rng.normal(size=n), rng.normal(size=n)
@@ -172,16 +171,18 @@ class TestRegularization:
                            rtol=1e-12, atol=0)
 
     def test_irls_weights_formula(self):
-        cfg = RegularizationConfig(alpha_s=1.0, p_s=1.0, irls_epsilon=0.1)
+        cfg = RegularizationConfig(alpha_s=1.0, p_s=1.0)
         reg = Regularization(cfg, nx=2, nz=1, dx=1.0, dz=1.0)
+        reg.epsilon = 0.1
         m = np.array([0.0, 3.0])
         reg.update_irls(m)
         want = (m ** 2 + 0.01) ** (-0.5)
         assert np.allclose(reg.irls_weights[0], want)
 
     def test_p0_limit_form(self):
-        cfg = RegularizationConfig(alpha_s=1.0, p_s=0.0, irls_epsilon=0.1)
+        cfg = RegularizationConfig(alpha_s=1.0, p_s=0.0)
         reg = Regularization(cfg, nx=2, nz=1, dx=1.0, dz=1.0)
+        reg.epsilon = 0.1
         reg.update_irls(np.array([0.0, 3.0]))
         assert np.allclose(reg.irls_weights[0],
                            (np.array([0.0, 9.0]) + 0.01) ** -1.0)
@@ -193,12 +194,11 @@ class TestRegularization:
             RegularizationConfig(p_s=-0.5)
         with pytest.raises(ValueError):
             RegularizationConfig(p_s=2.5)
-        with pytest.raises(ValueError):
-            RegularizationConfig(p_s=1.0, irls_epsilon=0.0)
 
     def test_epsilon_cooling_floor(self):
-        cfg = RegularizationConfig(alpha_s=1.0, p_s=1.0, irls_epsilon=1e-4)
+        cfg = RegularizationConfig(alpha_s=1.0, p_s=1.0)
         reg = Regularization(cfg, nx=2, nz=1, dx=1.0, dz=1.0)
+        assert reg.epsilon == inversion.IRLS_EPSILON == 1e-4
         for _ in range(20):
             reg.cool_epsilon()
         assert reg.epsilon == 1e-6
@@ -309,7 +309,7 @@ class TestNfsInvert:
             for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
                 a = xs[-1] @ w + b
                 pre.append(a)
-                if i < mlp.n_layers - 1:
+                if i < len(mlp.weights) - 1:
                     xs.append(np.where(a > 0, a, mlp.hidden_slope * a))
             raw = pre[-1][:, 0]
             return mlp.output_offset + mlp.output_scale * np.tanh(raw), xs, pre
@@ -319,7 +319,7 @@ class TestNfsInvert:
             t = np.tanh(pre[-1][:, 0])
             d = (c * mlp.output_scale * (1.0 - t * t))[:, None]
             deltas = [d]
-            for i in range(mlp.n_layers - 2, -1, -1):
+            for i in range(len(mlp.weights) - 2, -1, -1):
                 d = (d @ mlp.weights[i + 1].T) * np.where(pre[i] > 0, 1.0,
                                                           mlp.hidden_slope)
                 deltas.append(d)
@@ -355,7 +355,9 @@ class TestNfsInvert:
 
 
 class TestConventional:
-    def test_gauss_newton_one_step_on_quadratic(self):
+    def test_gauss_newton_one_step_on_quadratic(self, monkeypatch):
+        monkeypatch.setattr(inversion, "GN_CG_MAXITER", 100)
+        monkeypatch.setattr(inversion, "GN_CG_RTOL", 1e-12)
         rng = np.random.default_rng(4)
         A = rng.normal(size=(30, 10))
         sim = LinearSimulator(A)
@@ -364,30 +366,31 @@ class TestConventional:
         phi_star = 0.5 * np.sum((A @ m_star - d_obs) ** 2)
         result = conventional_invert(
             sim, d_obs, 1.0, np.zeros(10), reg=None, optimizer="gauss_newton",
-            max_iterations=2, gn_cg_maxiter=100, gn_cg_rtol=1e-12)
+            max_iterations=2)
         # after one outer iteration the quadratic is solved
         assert result.misfit_history[1] == pytest.approx(phi_star, rel=1e-9,
                                                          abs=1e-12)
 
     def test_gradient_descent_reduces_misfit(self):
-        _, sim, s_true, d_obs, w_d, _, _ = small_tomo_setup(seed=3)
+        mesh, sim, s_true, d_obs, w_d, _, _ = small_tomo_setup(seed=3)
         cfg = RegularizationConfig(alpha_x=0.5, alpha_z=0.5)
         reg = Regularization(cfg, nx=16, nz=32, dx=1.0, dz=1.0)
-        m0 = np.full(sim.n_model, 1e-3)
+        m0 = np.full(mesh.n_cells, 1e-3)
         result = conventional_invert(sim, d_obs, w_d, m0, reg=reg,
                                      optimizer="gradient_descent",
                                      max_iterations=150)
         assert result.final_misfit < result.misfit_history[0] / 10.0
 
-    def test_target_misfit_stop(self):
+    def test_target_misfit_stop(self, monkeypatch):
+        monkeypatch.setattr(inversion, "GN_CG_MAXITER", 200)
+        monkeypatch.setattr(inversion, "GN_CG_RTOL", 1e-10)
         rng = np.random.default_rng(5)
         A = rng.normal(size=(20, 20)) + 5 * np.eye(20)
         sim = LinearSimulator(A)
         d_obs = rng.normal(size=20)
         result = conventional_invert(sim, d_obs, 1.0, np.zeros(20), reg=None,
                                      optimizer="gauss_newton",
-                                     max_iterations=50, gn_cg_maxiter=200,
-                                     gn_cg_rtol=1e-10, target_misfit=1e-6)
+                                     max_iterations=50, target_misfit=1e-6)
         assert result.converged
 
     def test_line_search_failure_status(self):
@@ -409,20 +412,21 @@ class TestConventional:
         assert result.final_misfit == data_misfit(1.0, d_obs,
                                                   A @ result.model)[0]
 
-    def test_cg_exit_codes_per_gauss_newton_iteration(self):
+    def test_cg_exit_codes_per_gauss_newton_iteration(self, monkeypatch):
         rng = np.random.default_rng(4)
         A = rng.normal(size=(30, 10))
         d_obs = rng.normal(size=30)
+        monkeypatch.setattr(inversion, "GN_CG_RTOL", 1e-12)
+        monkeypatch.setattr(inversion, "GN_CG_MAXITER", 100)
         exact = conventional_invert(
             LinearSimulator(A), d_obs, 1.0, np.zeros(10), reg=None,
-            optimizer="gauss_newton", max_iterations=2, gn_cg_maxiter=100,
-            gn_cg_rtol=1e-12)
+            optimizer="gauss_newton", max_iterations=2)
         assert exact.cg_info.tolist() == [0, 0]
         # one CG step cannot solve a 10-dimensional system to 1e-12
+        monkeypatch.setattr(inversion, "GN_CG_MAXITER", 1)
         capped = conventional_invert(
             LinearSimulator(A), d_obs, 1.0, np.zeros(10), reg=None,
-            optimizer="gauss_newton", max_iterations=3, gn_cg_maxiter=1,
-            gn_cg_rtol=1e-12)
+            optimizer="gauss_newton", max_iterations=3)
         assert len(capped.cg_info) == 3 and np.all(capped.cg_info > 0)
         descent = conventional_invert(
             LinearSimulator(A), d_obs, 1.0, np.zeros(10), reg=None,
@@ -441,7 +445,7 @@ class TestConventional:
         mesh, sim, s_true, d_obs, w_d, _, _ = small_tomo_setup(seed=7)
         bg = 1e-3
         off = s_true == bg
-        m0 = np.full(sim.n_model, bg)
+        m0 = np.full(mesh.n_cells, bg)
 
         unreg = conventional_invert(sim, d_obs, w_d, m0, reg=None,
                                     optimizer="gradient_descent",
@@ -451,7 +455,7 @@ class TestConventional:
         smooth = conventional_invert(sim, d_obs, w_d, m0, reg=reg,
                                      optimizer="gradient_descent",
                                      max_iterations=500,
-                                     target_misfit=sim.n_data / 2)
+                                     target_misfit=len(d_obs) / 2)
 
         def artifact(m):
             return float(np.sum((m[off] - bg) ** 2))

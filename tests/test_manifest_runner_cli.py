@@ -13,8 +13,9 @@ from nfinv.manifest import (
     sub_seed,
     validate_manifest,
 )
-from nfinv.neural_field import get_weights, load_checkpoint
-from nfinv.runner import assemble, run_case, simulate_case
+from nfinv.inversion import data_misfit
+from nfinv.neural_field import forward, get_weights, load_checkpoint
+from nfinv.runner import assemble, encode_cells, run_case, simulate_case
 
 
 def tiny_case1(method="nfs", seed=0, epochs=8):
@@ -197,6 +198,43 @@ class TestRunner:
                 for field in row.split(","):
                     float(field)
 
+    def test_checkpoints_replay_histories(self, tmp_path):
+        man = tiny_case1(epochs=5)
+        run_case(man, tmp_path / "plain")
+        man["checkpoint_every"] = 2
+        run_case(man, tmp_path / "ckpt")
+        d = tmp_path / "ckpt"
+        assert sorted(p.name for p in d.glob("epoch_*.ckpt")) == [
+            "epoch_000002.ckpt", "epoch_000004.ckpt"]
+        csvs = sorted((tmp_path / "plain").glob("*.csv"))
+        assert len(csvs) == 5
+        for p in csvs:
+            assert p.read_bytes() == (d / p.name).read_bytes(), p.name
+        # saved before that epoch's Adam step: the weights that gave row 2
+        mlp, header = load_checkpoint(d / "epoch_000002.ckpt")
+        assert header["epoch"] == 2
+        asm = assemble(man)
+        _, Z = encode_cells(man, asm.mesh)
+        phi, _ = data_misfit(asm.w_d, asm.d_obs,
+                             asm.simulator.predict(forward(mlp, Z)))
+        row = (d / "histories.csv").read_text().splitlines()[2]
+        assert row.split(",")[:2] == ["2", repr(phi)]
+
+    def test_nfs_target_chi2_stops_early(self, tmp_path):
+        man = tiny_case1(epochs=8)
+        run_case(man, tmp_path / "full")
+        rows = (tmp_path / "full" / "histories.csv").read_text().splitlines()
+        misfits = [float(row.split(",")[1]) for row in rows[1:]]
+        man["nfs"]["target_chi2"] = 2.0 * misfits[2] / 64 * (1 + 1e-9)
+        metrics = run_case(man, tmp_path / "target")
+        target = man["nfs"]["target_chi2"] * 64 / 2.0
+        stop = 1 + next(i for i, phi in enumerate(misfits) if phi <= target)
+        assert metrics["converged"]
+        assert metrics["epochs_run"] == stop <= 3
+        # the stopped run is the full run's first epochs
+        assert (tmp_path / "target" / "histories.csv").read_text() \
+            .splitlines() == rows[:stop + 1]
+
     def test_dcr_assembly_centers_line(self):
         man = default_manifest(3)
         asm = assemble(man)
@@ -228,6 +266,37 @@ class TestCli:
         assert header.split()[-2:] == ["status", "gn_cg_unconverged"]
         assert row.split()[-2:] == ["ok", "0"]
 
+    @pytest.mark.parametrize("method", ["nfs", "conventional"])
+    def test_invert_overrides_reach_metrics(self, tmp_path, method):
+        # the manifest holds the other method, seed 0, 8 epochs and 40
+        # conventional iterations; --epochs sets the budget of the method
+        # that runs
+        other = "conventional" if method == "nfs" else "nfs"
+        path = tmp_path / "man.json"
+        save_manifest(tiny_case1(method=other), path)
+        out = tmp_path / "run"
+        assert main(["invert", "--manifest", str(path), "--method", method,
+                     "--seed", "5", "--epochs", "1", "--out", str(out)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert (metrics["method"], metrics["seed"],
+                metrics["epochs_run"]) == (method, 5, 1)
+        echo = load_manifest(out / "manifest_echo.json")
+        assert (echo["epochs"], echo["conventional"]["max_iterations"]) \
+            == ((1, 40) if method == "nfs" else (8, 1))
+
+    @pytest.mark.parametrize("content, reason", [
+        ("[1, 2]", "must hold a JSON object"),
+        (json.dumps({"case": 1, "method": "nfs", "rmse": 0.1,
+                     "chi2_per_datum": 1.0, "epochs_run": 3,
+                     "gn_cg_unconverged": 0}), "lacks the key 'status'"),
+    ], ids=["list", "no-status"])
+    def test_report_bad_metrics_exit_2(self, tmp_path, capsys, content,
+                                       reason):
+        (tmp_path / "metrics.json").write_text(content)
+        assert main(["report", str(tmp_path)]) == 2
+        assert (f"invalid input at {tmp_path / 'metrics.json'}: {reason}"
+                in capsys.readouterr().err)
+
     def test_invalid_manifest_exit_2(self, tmp_path, capsys):
         man = default_manifest(3)
         man["nfs"]["tau"] = -800.0
@@ -238,16 +307,21 @@ class TestCli:
         assert code == 2
         assert "nfs.tau" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k", [0, 2.5, 1e9, 12 * 16])
-    def test_bad_svd_k_exit_2(self, tmp_path, capsys, k):
-        # tiny_case1 has 12 x 16 = 192 core cells: k must be an int < 192
-        man = tiny_case1()
+    # tiny_case1 has 12 x 16 = 192 core cells: k must be an int < 192;
+    # desk case 3 has 100 x 24 core cells, padding excluded
+    @pytest.mark.parametrize("make, k, message", [
+        *[(tiny_case1, k, "svd.k") for k in (0, 2.5, 1e9, 12 * 16)],
+        (lambda: default_manifest(3), 100 * 24,
+         "svd.k: must lie in [1, 2399]"),
+    ], ids=["0", "2.5", "1000000000.0", "192", "dcr-2400"])
+    def test_bad_svd_k_exit_2(self, tmp_path, capsys, make, k, message):
+        man = make()
         man["svd"] = {"k": k}
         path = tmp_path / "bad.json"
         save_manifest(man, path)
         assert main(["invert", "--manifest", str(path),
                      "--out", str(tmp_path / "run")]) == 2
-        assert "svd.k" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         if k == int(k):
             # the svd verb's --k goes through the same check
             man["svd"] = None
@@ -256,7 +330,7 @@ class TestCli:
                          "--checkpoint", str(tmp_path / "unread.ckpt"),
                          "--k", str(int(k)),
                          "--out", str(tmp_path / "svd")]) == 2
-            assert "svd.k" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
 
     def test_svd_k_above_weight_count_exit_2_before_training(self, tmp_path,
                                                              capsys):

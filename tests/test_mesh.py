@@ -74,7 +74,8 @@ class TestBuildDcrMesh:
     def test_core_placement(self):
         mesh = build_dcr_mesh(6, 4, 2.0, 3.0, 3, 1.4)
         assert mesh.core_x_extent == pytest.approx((0.0, 12.0))
-        assert mesh.core_z_extent == pytest.approx((0.0, 12.0))
+        assert (mesh.cell_z_edges[0], mesh.cell_z_edges[mesh.nz_core]) \
+            == pytest.approx((0.0, 12.0))
         # top row of the full mesh is core (no padding above the surface)
         assert mesh.active_mask[:mesh.n_pad].sum() == 0
         assert mesh.active_mask.reshape(mesh.nz_full, mesh.nx_full)[0, 3:9].all()

@@ -150,7 +150,7 @@ class TestVjp:
         z = np.random.default_rng(0).normal(size=(10, 2))
         assert np.all(vjp(mlp, z, np.zeros(10)) == 0)
 
-    @pytest.mark.parametrize("out_act", ["tanh", "sigmoid", "none"])
+    @pytest.mark.parametrize("out_act", ["tanh", "sigmoid", "relu", "none"])
     def test_matches_central_differences(self, out_act):
         # FD step 1e-6 (scaled by |w|); documented tolerance 1e-5 relative
         mlp = init_kaiming((3, 12, 10, 1), output_activation=out_act,

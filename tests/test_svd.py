@@ -124,18 +124,23 @@ class TestAnalyzeTrainedNetwork:
         res = analyze_trained_network(mlp, z, k=3, grid_shape=(8, 10))
         assert res.values[1] / res.values[0] < 1e-12
 
-    def test_exports(self, tmp_path):
+    @pytest.mark.parametrize("k", [4, 10])
+    def test_exports(self, tmp_path, k):
         mlp, z = _identity_net(6, 9, (16, 16), seed=8)
         out = tmp_path / "svd"
-        res = analyze_trained_network(mlp, z, k=4, grid_shape=(6, 9),
+        res = analyze_trained_network(mlp, z, k=k, grid_shape=(6, 9),
                                       out_dir=out)
-        assert (out / "spectrum.csv").exists()
-        for i in range(4):
+        spectrum = [float(row.split(",")[1]) for row in
+                    (out / "spectrum.csv").read_text().splitlines()[1:]]
+        assert spectrum == res.values.tolist()
+        for i in range(k):
             assert (out / f"u_{i:03d}.csv").exists()
             assert (out / f"u_{i:03d}.png").exists()
         sidecar = json.loads((out / "svd_manifest.json").read_text())
-        assert sidecar == {"k": 4, "grid_shape": [6, 9],
-                           "param_count": mlp.param_count}
+        want = {"k": k, "grid_shape": [6, 9], "param_count": mlp.param_count}
+        if k >= 10:  # the decay ratio needs a tenth singular value
+            want["decay_ratio_1_10"] = spectrum[0] / spectrum[9]
+        assert sidecar == want
         norms = np.linalg.norm(res.U, axis=0)
         assert np.max(np.abs(norms - 1.0)) < 1e-6
 
