@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -273,6 +273,7 @@ class PolePotentials:
         terms = [(self.phi[fi] - self.phi[fj],
                   self._face_to_active((fi, fj), (dg_i, dg_j))),
                  (self.phi[bc], self._face_to_active((bc,), (dgb,)))]
+        terms = [(p, C) for p, C in terms if C.nnz]  # padded: empty boundary
         abmn = self.survey.abmn
         new_src = np.any(abmn[1:, :2] != abmn[:-1, :2], axis=1)
         edges = np.concatenate([[0], np.flatnonzero(new_src) + 1,
@@ -281,9 +282,9 @@ class PolePotentials:
         for d in map(slice, edges[:-1], edges[1:]):
             a, b = abmn[d.start, :2]
             m, n = abmn[d, 2], abmn[d, 3]
-            # the interior plus the boundary term, summed into J in place
-            np.add(*(C @ ((p[:, m] - p[:, n]) * (p[:, a] - p[:, b])[:, None])
-                     for p, C in terms), out=J[d].T)
+            J[d] = reduce(np.add, (C @ ((p[:, m] - p[:, n])
+                                        * (p[:, a] - p[:, b])[:, None])
+                                   for p, C in terms)).T
         return J
 
 

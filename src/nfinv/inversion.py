@@ -58,7 +58,7 @@ class CoolingSchedule:
         return float(np.exp(-t / self.tau))
 
 
-# the IRLS stabilization epsilon at the first reweighting
+# the IRLS stabilization epsilon of the network driver
 IRLS_EPSILON = 1e-4
 
 
@@ -67,8 +67,9 @@ class RegularizationConfig:
     """Smallness plus directional smoothness with per-term norm exponents.
 
     Exponents below 2 are handled by iteratively reweighted least squares
-    with stabilization (r^2 + eps^2)^(p/2 - 1), eps starting at
-    ``IRLS_EPSILON``; p = 0 uses the same limit form.
+    with stabilization (r^2 + eps^2)^(p/2 - 1), eps = ``IRLS_EPSILON`` in
+    the network driver and ``GN_IRLS_EPSILON`` in Gauss-Newton after its
+    l2 first step; p = 0 uses the same limit form.
     ``sensitivity_weighting`` asks the conventional driver to fold exact
     forward-sensitivity weights (``sensitivity_weights``) into all terms.
     """
@@ -138,15 +139,8 @@ class Regularization:
     def update_irls(self, m: np.ndarray) -> None:
         """Refresh IRLS weights at the current model (ones for p = 2)."""
         eps2 = self.epsilon * self.epsilon
-        self.irls_weights = []
-        for _, p, D in self.terms:
-            r = self._residual(m, D)
-            self.irls_weights.append(np.ones_like(r) if p == 2.0
-                                     else (r * r + eps2) ** (p / 2.0 - 1.0))
-
-    def cool_epsilon(self) -> None:
-        """Halve the IRLS epsilon, down to a floor of 1e-6."""
-        self.epsilon = max(self.epsilon * 0.5, 1e-6)
+        self.irls_weights = [(self._residual(m, D) ** 2 + eps2) ** (p / 2 - 1)
+                             for _, p, D in self.terms]
 
     def value_and_grad(self, m: np.ndarray) -> tuple[float, np.ndarray]:
         value = 0.0
@@ -292,6 +286,8 @@ SENSITIVITY_FLOOR = 1e-3
 # the inner conjugate-gradient solve of each Gauss-Newton step
 GN_CG_MAXITER = 20
 GN_CG_RTOL = 1e-3
+# Gauss-Newton's IRLS epsilon, fixed (Fournier & Oldenburg 2019, GJI 218)
+GN_IRLS_EPSILON = 1e-3
 # the power iteration that sets the first gradient-descent step; its seed
 # fixes the case-1/2 conventional runs
 _POWER_ITERATIONS = 12
@@ -343,8 +339,9 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
     gauss_newton: inexact Newton with conjugate-gradient inner solves
     (``GN_CG_MAXITER`` iterations, relative tolerance ``GN_CG_RTOL``) on
     J^T W^2 J + beta * H_reg, a backtracking line search, multiplicative
-    beta cooling between outer iterations, and IRLS weight refreshes (with
-    epsilon cooling) when any norm exponent is below 2.  Each CG product
+    beta cooling between outer iterations and, if any norm exponent is
+    below 2, IRLS: unit weights for the first (l2) step, then weights at
+    each model with the fixed epsilon ``GN_IRLS_EPSILON``.  Each CG product
     is two matrix-vector products with the simulator's explicit
     ``sensitivity()``; the CG exit codes are returned as ``cg_info``.
 
@@ -369,6 +366,9 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
     status = "ok"
 
     use_irls = reg is not None and any(p < 2.0 for _, p, _ in reg.terms)
+    if use_irls:
+        reg.epsilon = GN_IRLS_EPSILON
+        reg.irls_weights = [np.ones_like(tw) for tw in reg.term_weights]
 
     d_pred = simulator.predict(m)
     if reg is not None and reg.config.sensitivity_weighting:
@@ -389,10 +389,8 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
     step0 = None
     for it in range(1, max_iterations + 1):
         t0 = time.perf_counter()
-        if use_irls:
+        if use_irls and it > 1:
             reg.update_irls(m)
-            if it > 1:
-                reg.cool_epsilon()
         phi_d, cot = data_misfit(w, d_obs, d_pred)
         phi_m, g_reg = reg.value_and_grad(m) if reg is not None else (0.0, 0.0)
         if not np.isfinite(phi_d):

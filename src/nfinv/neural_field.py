@@ -251,16 +251,18 @@ class JacobianOperator:
         """J @ J.T, the (n_cells, n_cells) empirical neural tangent kernel.
 
         Row i of J holds x_i (x) delta_i and delta_i for each layer, so
-        (J J^T)_ij = sum_l (x_i . x_j + 1) (delta_i . delta_j).
+        (J J^T)_ij = sum_l (x_i . x_j + 1) (delta_i . delta_j).  A row
+        block is summed up to its diagonal, then mirrored above it.
         """
         n = self.shape[0]
         out = np.zeros((n, n))
-        for x, d in zip(self._xs, self._unit_deltas()):
-            for s in self._blocks(n):
-                t = x[s] @ x.T
+        for s in self._blocks(n):
+            for x, d in zip(self._xs, self._unit_deltas()):
+                t = x[s] @ x[:s.stop].T
                 t += 1.0
-                t *= d[s] @ d.T
-                out[s] += t
+                t *= d[s] @ d[:s.stop].T
+                out[s, :s.stop] += t
+            out[:s.start, s] = out[s, :s.start].T
         return out
 
     def dense(self) -> np.ndarray:

@@ -464,6 +464,30 @@ def test_sensitivity_transpose_is_gradient(which):
         sim.jvp(dm[:-1])
 
 
+@pytest.mark.parametrize("which", ["desk_dipole_dipole", "unpadded"])
+def test_sensitivity_equals_two_term_sum_bitwise(which):
+    # the interior-face term plus the boundary-face term, datum by datum;
+    # on a padded mesh the boundary term is all zeros and is skipped
+    mesh, survey = reference_case(which)
+    rng = np.random.default_rng(17)
+    sim = DcrSimulator(mesh, survey, background_sigma=0.01)
+    sim.predict(-2.0 + rng.normal(0.0, 0.3, mesh.n_active))
+    J = sim.sensitivity()
+    poles = sim._poles
+    fi, fj, *_, bc, _, _ = mesh.faces
+    dg_i, dg_j, dgb = poles._dg
+    terms = [(poles.phi[fi] - poles.phi[fj],
+              poles._face_to_active((fi, fj), (dg_i, dg_j))),
+             (poles.phi[bc], poles._face_to_active((bc,), (dgb,)))]
+    assert (terms[1][1].nnz == 0) == (which != "unpadded")
+    want = np.array([
+        np.add(*(C @ ((p[:, m] - p[:, n]) * (p[:, a] - p[:, b]))
+                 for p, C in terms))
+        for a, b, m, n in survey.abmn])
+    assert np.array_equal(J, want)
+    assert np.array_equal(np.signbit(J), np.signbit(want))
+
+
 def test_sensitivity_kept_per_predict_without_solve(monkeypatch):
     mesh, survey = desk_case3()
     sim = DcrSimulator(mesh, survey, background_sigma=0.01)

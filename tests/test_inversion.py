@@ -195,14 +195,6 @@ class TestRegularization:
         with pytest.raises(ValueError):
             RegularizationConfig(p_s=2.5)
 
-    def test_epsilon_cooling_floor(self):
-        cfg = RegularizationConfig(alpha_s=1.0, p_s=1.0)
-        reg = Regularization(cfg, nx=2, nz=1, dx=1.0, dz=1.0)
-        assert reg.epsilon == inversion.IRLS_EPSILON == 1e-4
-        for _ in range(20):
-            reg.cool_epsilon()
-        assert reg.epsilon == 1e-6
-
 
 class TestAdam:
     def test_first_step_formula(self):
@@ -371,6 +363,38 @@ class TestConventional:
         assert result.misfit_history[1] == pytest.approx(phi_star, rel=1e-9,
                                                          abs=1e-12)
 
+    def test_gauss_newton_l2_first_step_then_fixed_epsilon(self, monkeypatch):
+        # p_s = 0 at m = m_ref would weigh every cell eps^-2: the first
+        # step must solve the l2 problem instead and leave m_ref
+        monkeypatch.setattr(inversion, "GN_CG_MAXITER", 100)
+        monkeypatch.setattr(inversion, "GN_CG_RTOL", 1e-12)
+        rng = np.random.default_rng(12)
+        A = rng.normal(size=(8, 6))
+        d_obs = rng.normal(size=8)
+        m0 = np.full(6, 0.5)
+        cfg = RegularizationConfig(alpha_s=1.0, p_s=0.0, m_ref=0.5)
+
+        def run(iterations):
+            reg = Regularization(cfg, nx=3, nz=2, dx=1.0, dz=1.0)
+            return reg, conventional_invert(
+                LinearSimulator(A), d_obs, 1.0, m0, reg=reg,
+                optimizer="gauss_newton", max_iterations=iterations)
+
+        reg, first = run(1)
+        assert all(np.all(w == 1.0) for w in reg.irls_weights)
+        # the l2 Gauss-Newton step, H_reg = 2 alpha I and beta = 1
+        want = np.linalg.solve(A.T @ A + 2.0 * np.eye(6),
+                               A.T @ (d_obs - A @ m0))
+        np.testing.assert_allclose(first.model - m0, want, rtol=1e-8)
+        assert np.min(np.abs(first.model - m0)) > 1e-3
+
+        # the second iteration reweights at the first step's model
+        reg, _ = run(2)
+        assert reg.epsilon == inversion.GN_IRLS_EPSILON
+        r, eps = first.model - m0, inversion.GN_IRLS_EPSILON
+        np.testing.assert_allclose(reg.irls_weights[0],
+                                   1.0 / (r * r + eps * eps), rtol=1e-12)
+
     def test_gradient_descent_reduces_misfit(self):
         mesh, sim, s_true, d_obs, w_d, _, _ = small_tomo_setup(seed=3)
         cfg = RegularizationConfig(alpha_x=0.5, alpha_z=0.5)
@@ -531,6 +555,16 @@ class TestGaussNewtonDcr:
         trials = calls["data_misfit"] - result.n_epochs - 1
         assert trials >= result.n_epochs - 1
         assert calls["predict"] == 1 + trials
+
+    def test_every_iteration_moves_the_misfit(self, desk_case3_gauss_newton):
+        _, _, result, _ = desk_case3_gauss_newton
+        assert result.converged
+        mis = result.misfit_history
+        # no stalled iteration: each moves the misfit by at least 0.1%
+        assert np.all(np.abs(np.diff(mis)) >= 1e-3 * np.abs(mis[:-1]))
+        # an l2 first step and a fixed IRLS epsilon; cooling epsilon from
+        # the reference model took 22 iterations
+        assert result.n_epochs < 22
 
     def test_final_misfit_is_that_of_the_model(self, desk_case3_gauss_newton):
         _, asm, result, _ = desk_case3_gauss_newton

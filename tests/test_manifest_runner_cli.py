@@ -37,8 +37,8 @@ def tiny_case2_gaussian(seed=0, epochs=8):
     return man
 
 
-def tiny_case3(seed=0, epochs=8):
-    man = default_manifest(3, seed=seed)
+def tiny_case3(method="nfs", seed=0, epochs=8):
+    man = default_manifest(3, method=method, seed=seed)
     man["mesh"] = {"kind": "dcr", "nx_core": 20, "nz_core": 8, "dx": 5.0,
                    "dz": 5.0, "n_pad": 4, "pad_factor": 1.5}
     man["survey"].update(line_length=80.0, station_sep=10.0)
@@ -148,9 +148,10 @@ class TestRunner:
         assert (tmp_path / "run" / "recovered.csv").exists()
         assert not (tmp_path / "run" / "weights_final.ckpt").exists()
 
-    @pytest.mark.parametrize("tiny", [tiny_case1, tiny_case2_gaussian,
-                                      tiny_case3],
-                             ids=["case1", "case2-gaussian", "case3"])
+    @pytest.mark.parametrize("tiny", [
+        tiny_case1, tiny_case2_gaussian, tiny_case3,
+        lambda seed: tiny_case3("conventional", seed)],
+        ids=["case1", "case2-gaussian", "case3", "case3-gauss-newton"])
     def test_csv_determinism(self, tmp_path, tiny):
         man = tiny(seed=3)
         run_case(man, tmp_path / "a")

@@ -256,6 +256,25 @@ class TestJacobian:
         np.testing.assert_allclose(op.gram(), want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
+    def test_gram_lower_blocks_mirrored_bitwise(self, monkeypatch):
+        # several row blocks: only their lower parts are summed, the rest
+        # is mirrored, and it equals the whole per-layer sum bit for bit.
+        # The reference takes its GEMMs a row block at a time, as gram
+        # does: at this size x @ x.T rounds differently from x[s] @ x.T.
+        monkeypatch.setattr(neural_field, "_BLOCK_BYTES", 8192)
+        mlp = init_kaiming((3, 16, 12, 1), output_activation="sigmoid",
+                           output_scale=1.7, seed=7)
+        z = np.random.default_rng(15).normal(size=(211, 3))
+        op = JacobianOperator(mlp, z)
+        assert len(op._blocks(211)) > 3
+        want = np.empty((211, 211))
+        for s in op._blocks(211):
+            want[s] = sum((x[s] @ x.T + 1.0) * (d[s] @ d.T)
+                          for x, d in zip(op._xs, op._unit_deltas()))
+        got = op.gram()
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, got.T)
+
     @pytest.mark.parametrize("slope", [0.0, 0.01, 0.3, 1.0])
     def test_sweep_matches_where_backprop_bitwise(self, slope):
         mlp = init_kaiming((3, 6, 5, 4, 1), hidden_slope=slope,
