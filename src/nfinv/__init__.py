@@ -47,7 +47,6 @@ from nfinv.dcr import (
     build_dipole_dipole_survey,
 )
 from nfinv.scenarios import (
-    EllipseSpec,
     GrfSpec,
     NoiseSpec,
     add_noise,
@@ -59,10 +58,8 @@ from nfinv.scenarios import (
 )
 from nfinv.inversion import (
     Adam,
-    CoolingSchedule,
     InversionResult,
     Regularization,
-    RegularizationConfig,
     conventional_invert,
     data_misfit,
     nfs_invert,
@@ -74,11 +71,9 @@ from nfinv.runner import run_case, simulate_case
 __all__ = [
     "Adam",
     "CapacityError",
-    "CoolingSchedule",
     "CrossholeSurvey",
     "DcrSimulator",
     "DcrSurvey",
-    "EllipseSpec",
     "EncodingConfig",
     "FvSystem",
     "GeometryError",
@@ -90,7 +85,6 @@ __all__ = [
     "NoiseSpec",
     "RayMatrix",
     "Regularization",
-    "RegularizationConfig",
     "SolverError",
     "SvdResult",
     "TensorMesh",

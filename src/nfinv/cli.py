@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -95,9 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _verb_make_scenario(args) -> int:
-    from nfinv.manifest import default_manifest, save_manifest
+    from nfinv.manifest import (default_manifest, save_manifest,
+                                validate_manifest)
     man = default_manifest(args.case, method=args.method, seed=args.seed,
                            desk_scale=not args.full)
+    validate_manifest(man)  # a bad --seed is named before a file is written
     save_manifest(man, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -151,6 +154,13 @@ def _verb_render(args) -> int:
     from nfinv.render import render_grid
     if args.scale < 1:
         raise ManifestError("--scale", f"must be at least 1, got {args.scale}")
+    for option, value in (("--vmin", args.vmin), ("--vmax", args.vmax)):
+        if value is not None and not math.isfinite(value):
+            raise ManifestError(option, f"must be finite, got {value}")
+    if args.vmin is not None and args.vmax is not None \
+            and args.vmin >= args.vmax:
+        raise ManifestError("--vmax", f"must exceed --vmin {args.vmin}, "
+                                      f"got {args.vmax}")
     try:
         values, nx, nz, _, _ = read_grid_csv(args.grid)
     except (OSError, ValueError) as exc:

@@ -118,6 +118,12 @@ class FvSystem:
         return x
 
 
+def _face_conductance(mesh: TensorMesh, sigma: np.ndarray) -> np.ndarray:
+    """Interior-face conductances, harmonic in sigma (half cells in series)."""
+    fi, fj, area, di, dj = mesh.faces[:5]
+    return area / (di / sigma[fi] + dj / sigma[fj])
+
+
 def assemble_system(mesh: TensorMesh, sigma: np.ndarray) -> FvSystem:
     """Build and factorize the FV operator for a full-mesh conductivity."""
     sigma = np.asarray(sigma, dtype=float)
@@ -127,8 +133,8 @@ def assemble_system(mesh: TensorMesh, sigma: np.ndarray) -> FvSystem:
     if np.any(sigma <= 0):
         raise ValueError("conductivity must be positive everywhere")
 
-    fi, fj, area, di, dj, bc, b_area, b_dist = mesh.faces
-    g = area / (di / sigma[fi] + dj / sigma[fj])
+    fi, fj, *_, bc, b_area, b_dist = mesh.faces
+    g = _face_conductance(mesh, sigma)
     gb = b_area * sigma[bc] / b_dist
 
     rows = np.concatenate([fi, fj, fi, fj, bc])
@@ -208,9 +214,9 @@ class PolePotentials:
     @cached_property
     def _dg(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """dg/dsigma on either side of interior faces and at boundary faces."""
-        fi, fj, area, di, dj, bc, b_area, b_dist = self.mesh.faces
+        fi, fj, area, di, dj, _, b_area, b_dist = self.mesh.faces
         s = self.sigma
-        g = area / (di / s[fi] + dj / s[fj])
+        g = _face_conductance(self.mesh, s)
         return (g * g * di / (area * s[fi] ** 2),
                 g * g * dj / (area * s[fj] ** 2), b_area / b_dist)
 

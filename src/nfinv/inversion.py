@@ -44,51 +44,15 @@ def data_misfit(w_d, d_obs: np.ndarray,
     return value, -(w * w) * r
 
 
-@dataclass(frozen=True)
-class CoolingSchedule:
+def cooling_beta(t: float, tau: float) -> float:
     """Exponential trade-off decay beta(t) = exp(-t / tau), beta(0) = 1."""
-
-    tau: float
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-
-    def beta(self, t: float) -> float:
-        return float(np.exp(-t / self.tau))
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    return float(np.exp(-t / tau))
 
 
 # the IRLS stabilization epsilon of the network driver
 IRLS_EPSILON = 1e-4
-
-
-@dataclass(frozen=True)
-class RegularizationConfig:
-    """Smallness plus directional smoothness with per-term norm exponents.
-
-    Exponents below 2 are handled by iteratively reweighted least squares
-    with stabilization (r^2 + eps^2)^(p/2 - 1), eps = ``IRLS_EPSILON`` in
-    the network driver and ``GN_IRLS_EPSILON`` in Gauss-Newton after its
-    l2 first step; p = 0 uses the same limit form.
-    ``sensitivity_weighting`` asks the conventional driver to fold exact
-    forward-sensitivity weights (``sensitivity_weights``) into all terms.
-    """
-
-    alpha_s: float = 0.0
-    alpha_x: float = 0.0
-    alpha_z: float = 0.0
-    p_s: float = 2.0
-    p_x: float = 2.0
-    p_z: float = 2.0
-    m_ref: float = 0.0
-    sensitivity_weighting: bool = False
-
-    def __post_init__(self):
-        if min(self.alpha_s, self.alpha_x, self.alpha_z) < 0:
-            raise ValueError("term weights must be non-negative")
-        for p in (self.p_s, self.p_x, self.p_z):
-            if not 0.0 <= p <= 2.0:
-                raise ValueError(f"norm exponent must lie in [0, 2], got {p}")
 
 
 def _difference_operator(nx: int, nz: int, dx: float, dz: float):
@@ -101,7 +65,8 @@ def _difference_operator(nx: int, nz: int, dx: float, dz: float):
 
 
 class Regularization:
-    """Evaluates the penalty, its gradient, and its (IRLS) Hessian.
+    """Smallness plus directional smoothness with per-term norm exponents:
+    the penalty, its gradient, and its (IRLS) Hessian.
 
     The penalty sums weighted-quadratic terms, one per row (alpha, p, D) of
     ``terms``, for each of smallness (D is None, residual m - m_ref per
@@ -109,18 +74,26 @@ class Regularization:
     alpha is positive.  Row k weighs its squared residual by the cell
     volume, ``term_weights[k]`` (the cell weights, averaged over the two
     cells of each face for a difference term) and ``irls_weights[k]``.
+    Exponents below 2 are handled by iteratively reweighted least squares
+    (``update_irls``); p = 0 uses the same limit form.
     """
 
-    def __init__(self, config: RegularizationConfig, nx: int, nz: int,
-                 dx: float, dz: float):
-        self.config = config
+    def __init__(self, nx: int, nz: int, dx: float, dz: float, *,
+                 alpha_s: float = 0.0, alpha_x: float = 0.0,
+                 alpha_z: float = 0.0, p_s: float = 2.0, p_x: float = 2.0,
+                 p_z: float = 2.0, m_ref: float = 0.0):
+        if min(alpha_s, alpha_x, alpha_z) < 0:
+            raise ValueError("term weights must be non-negative")
+        for p in (p_s, p_x, p_z):
+            if not 0.0 <= p <= 2.0:
+                raise ValueError(f"norm exponent must lie in [0, 2], got {p}")
         self.n = nx * nz
         self.volume = dx * dz  # uniform core cells
-        self.epsilon = IRLS_EPSILON
+        self.m_ref = m_ref
         Dx, Dz = _difference_operator(nx, nz, dx, dz)
-        self.terms = [term for term in ((config.alpha_s, config.p_s, None),
-                                        (config.alpha_x, config.p_x, Dx),
-                                        (config.alpha_z, config.p_z, Dz))
+        self.terms = [term for term in ((alpha_s, p_s, None),
+                                        (alpha_x, p_x, Dx),
+                                        (alpha_z, p_z, Dz))
                       if term[0] > 0]
         self.set_cell_weights(np.ones(self.n))
         self.irls_weights = [np.ones_like(w) for w in self.term_weights]
@@ -134,11 +107,12 @@ class Regularization:
             for _, _, D in self.terms]
 
     def _residual(self, m: np.ndarray, D) -> np.ndarray:
-        return m - self.config.m_ref if D is None else D @ m
+        return m - self.m_ref if D is None else D @ m
 
-    def update_irls(self, m: np.ndarray) -> None:
-        """Refresh IRLS weights at the current model (ones for p = 2)."""
-        eps2 = self.epsilon * self.epsilon
+    def update_irls(self, m: np.ndarray, epsilon: float) -> None:
+        """Refresh IRLS weights (r^2 + epsilon^2)^(p/2 - 1) at the current
+        model (ones for p = 2)."""
+        eps2 = epsilon * epsilon
         self.irls_weights = [(self._residual(m, D) ** 2 + eps2) ** (p / 2 - 1)
                              for _, p, D in self.terms]
 
@@ -209,29 +183,30 @@ class InversionResult:
 
 
 def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
-               epochs: int, schedule: CoolingSchedule | None = None,
-               adam: Adam | None = None, reg: Regularization | None = None,
+               epochs: int, tau: float | None = None,
+               learning_rate: float = 1e-3,
+               reg: Regularization | None = None,
                target_misfit: float | None = None,
                checkpoint_every: int = 0,
                checkpoint_dir=None) -> InversionResult:
     """Optimize the network weights against the physics (Adam, surrogate loss).
 
-    Per epoch: cool the trade-off, linearize the network at its weights
-    (one forward pass, whose cache the backward pass reuses), evaluate the
-    data misfit and its model-space gradient through the physics adjoint,
-    then backpropagate (1 - beta) * J_v + beta * grad phi_m(m) through the
-    network only and take one Adam step.  With no schedule, beta is 0
-    throughout (the tomography configuration).
+    Per epoch: cool the trade-off to ``cooling_beta(t, tau)``, linearize
+    the network at its weights (one forward pass, whose cache the backward
+    pass reuses), evaluate the data misfit and its model-space gradient
+    through the physics adjoint, reweight ``reg`` at the model with
+    ``IRLS_EPSILON``, then backpropagate (1 - beta) * J_v + beta *
+    grad phi_m(m) through the network only and take one Adam step.  With
+    no ``tau``, beta is 0 throughout (the tomography configuration).
     """
-    if adam is None:
-        adam = Adam(mlp.param_count)
+    adam = Adam(mlp.param_count, learning_rate)
     w = get_weights(mlp)
     misfits, betas, regs, clocks = [], [], [], []
     converged = False
 
     for t in range(1, epochs + 1):
         t0 = time.perf_counter()
-        beta_t = schedule.beta(t) if schedule is not None else 0.0
+        beta_t = cooling_beta(t, tau) if tau is not None else 0.0
         lin = JacobianOperator(mlp, Z)
         m = lin.m
         try:
@@ -248,7 +223,7 @@ def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
         phi_m = 0.0
         g_m = (1.0 - beta_t) * simulator.gradient(cot)
         if reg is not None and beta_t != 0.0:
-            reg.update_irls(m)
+            reg.update_irls(m, IRLS_EPSILON)
             phi_m, g_reg = reg.value_and_grad(m)
             g_m = g_m + beta_t * g_reg
 
@@ -326,6 +301,7 @@ def _power_iteration_step(hv, n: int) -> float:
 def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
                         reg: Regularization | None = None,
                         optimizer: str = "gradient_descent", *,
+                        sensitivity_weighting: bool = False,
                         max_iterations: int = 200,
                         beta0: float = 1.0,
                         beta_cooling: float = 1.0,
@@ -344,6 +320,8 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
     each model with the fixed epsilon ``GN_IRLS_EPSILON``.  Each CG product
     is two matrix-vector products with the simulator's explicit
     ``sensitivity()``; the CG exit codes are returned as ``cg_info``.
+    ``sensitivity_weighting`` folds exact forward-sensitivity weights
+    (``sensitivity_weights``) into every term of ``reg`` at ``m0``.
 
     The simulator is linearized once per accepted model: the prediction
     of the accepted line-search trial is kept, so an iteration makes one
@@ -367,11 +345,10 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
 
     use_irls = reg is not None and any(p < 2.0 for _, p, _ in reg.terms)
     if use_irls:
-        reg.epsilon = GN_IRLS_EPSILON
         reg.irls_weights = [np.ones_like(tw) for tw in reg.term_weights]
 
     d_pred = simulator.predict(m)
-    if reg is not None and reg.config.sensitivity_weighting:
+    if reg is not None and sensitivity_weighting:
         reg.set_cell_weights(sensitivity_weights(simulator.sensitivity(), w))
 
     def normal_matvec():
@@ -390,7 +367,7 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
     for it in range(1, max_iterations + 1):
         t0 = time.perf_counter()
         if use_irls and it > 1:
-            reg.update_irls(m)
+            reg.update_irls(m, GN_IRLS_EPSILON)
         phi_d, cot = data_misfit(w, d_obs, d_pred)
         phi_m, g_reg = reg.value_and_grad(m) if reg is not None else (0.0, 0.0)
         if not np.isfinite(phi_d):

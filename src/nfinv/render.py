@@ -90,22 +90,19 @@ def read_png(path) -> tuple[np.ndarray, dict]:
 
 
 def render_heatmap(grid_csv, out_path, vmin: float | None = None,
-                   vmax: float | None = None, scale: int = 8,
-                   colorbar: bool = True) -> np.ndarray:
+                   vmax: float | None = None, scale: int = 8) -> np.ndarray:
     """Render a grid CSV to a PNG heatmap; see :func:`render_grid`."""
     values, nx, nz, _, _ = read_grid_csv(grid_csv)
-    return render_grid(values.reshape(nz, nx), out_path, vmin, vmax, scale,
-                       colorbar)
+    return render_grid(values.reshape(nz, nx), out_path, vmin, vmax, scale)
 
 
 def render_grid(grid: np.ndarray, out_path, vmin: float | None = None,
-                vmax: float | None = None, scale: int = 8,
-                colorbar: bool = True) -> np.ndarray:
+                vmax: float | None = None, scale: int = 8) -> np.ndarray:
     """Render an (nz, nx) grid to a PNG heatmap; returns the pixel array.
 
-    Each cell becomes a ``scale`` x ``scale`` pixel block; an optional
-    color strip on the right spans the value range top (max) to bottom
-    (min).  The numeric range is recorded in a tEXt chunk.
+    Each cell becomes a ``scale`` x ``scale`` pixel block; a color strip
+    on the right, after a 2-pixel white gap, spans the value range top
+    (max) to bottom (min).  The numeric range is recorded in a tEXt chunk.
     """
     lo = float(grid.min()) if vmin is None else float(vmin)
     hi = float(grid.max()) if vmax is None else float(vmax)
@@ -115,11 +112,10 @@ def render_grid(grid: np.ndarray, out_path, vmin: float | None = None,
         norm = np.full_like(grid, 0.5)
     rgb = colormap(norm)
     img = np.repeat(np.repeat(rgb, scale, axis=0), scale, axis=1)
-    if colorbar:
-        hpx = img.shape[0]
-        ramp = colormap(np.linspace(1.0, 0.0, hpx))[:, None, :]
-        strip = np.repeat(ramp, max(4, scale), axis=1)
-        gap = np.full((hpx, 2, 3), 255, dtype=np.uint8)
-        img = np.concatenate([img, gap, strip], axis=1)
+    hpx = img.shape[0]
+    ramp = colormap(np.linspace(1.0, 0.0, hpx))[:, None, :]
+    strip = np.repeat(ramp, max(4, scale), axis=1)
+    gap = np.full((hpx, 2, 3), 255, dtype=np.uint8)
+    img = np.concatenate([img, gap, strip], axis=1)
     write_png(out_path, img, text={"color_range": f"{lo!r}..{hi!r}"})
     return img

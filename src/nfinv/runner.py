@@ -17,14 +17,7 @@ import numpy as np
 from nfinv import dcr, tomo
 from nfinv.encoding import EncodingConfig, encode
 from nfinv.errors import GeometryError, ManifestError
-from nfinv.inversion import (
-    Adam,
-    CoolingSchedule,
-    Regularization,
-    RegularizationConfig,
-    conventional_invert,
-    nfs_invert,
-)
+from nfinv.inversion import Regularization, conventional_invert, nfs_invert
 from nfinv.manifest import (
     REGULARIZATION,
     save_manifest,
@@ -41,7 +34,6 @@ from nfinv.mesh import (
 from nfinv.neural_field import init_kaiming, save_checkpoint
 from nfinv.render import render_heatmap
 from nfinv.scenarios import (
-    EllipseSpec,
     GrfSpec,
     NoiseSpec,
     add_noise,
@@ -84,8 +76,7 @@ def assemble(man: dict) -> Assembled:
             grf = GrfSpec(variance=grf_cfg["variance"],
                           len_x=grf_cfg["len_x"], len_z=grf_cfg["len_z"],
                           seed=sub_seed(seed, "grf"))
-            ellipse = EllipseSpec(**tm["ellipse"])
-            truth = make_case2(mesh, grf, ellipse,
+            truth = make_case2(mesh, grf, **tm["ellipse"],
                                background_velocity=tm["background_velocity"])
         try:
             survey = tomo.build_crosshole_survey(mesh, man["survey"]["spacing"])
@@ -161,14 +152,10 @@ def _write_histories(result, out_dir: str) -> None:
                     f"{float(result.reg_history[i])!r}\n")
 
 
-def _build_regularization(cfg: dict, mesh: TensorMesh,
-                          sensitivity_weighting: bool = False
-                          ) -> Regularization:
-    reg_cfg = RegularizationConfig(
-        **{key: cfg[key] for key in REGULARIZATION},
-        sensitivity_weighting=sensitivity_weighting)
-    return Regularization(reg_cfg, nx=mesh.nx_core, nz=mesh.nz_core,
-                          dx=mesh.dx_core, dz=mesh.dz_core)
+def _build_regularization(cfg: dict, mesh: TensorMesh) -> Regularization:
+    return Regularization(mesh.nx_core, mesh.nz_core, mesh.dx_core,
+                          mesh.dz_core,
+                          **{key: cfg[key] for key in REGULARIZATION})
 
 
 def encode_cells(man: dict,
@@ -197,9 +184,6 @@ def run_nfs(man: dict, asm: Assembled, out_dir: str | None = None):
                        output_offset=net["output_offset"],
                        seed=sub_seed(seed, "init"))
     nfs_cfg = man["nfs"]
-    adam = Adam(mlp.param_count, learning_rate=nfs_cfg["learning_rate"])
-    schedule = (CoolingSchedule(nfs_cfg["tau"])
-                if nfs_cfg["tau"] is not None else None)
     reg = None
     if nfs_cfg["regularization"] is not None:
         reg = _build_regularization(nfs_cfg["regularization"], asm.mesh)
@@ -207,7 +191,8 @@ def run_nfs(man: dict, asm: Assembled, out_dir: str | None = None):
     if nfs_cfg["target_chi2"] is not None:
         target = nfs_cfg["target_chi2"] * len(asm.d_obs) / 2.0
     result = nfs_invert(asm.simulator, asm.d_obs, asm.w_d, mlp, Z,
-                        epochs=man["epochs"], schedule=schedule, adam=adam,
+                        epochs=man["epochs"], tau=nfs_cfg["tau"],
+                        learning_rate=nfs_cfg["learning_rate"],
                         reg=reg, target_misfit=target,
                         checkpoint_every=man["checkpoint_every"],
                         checkpoint_dir=out_dir)
@@ -218,8 +203,7 @@ def run_conventional(man: dict, asm: Assembled):
     conv = man["conventional"]
     reg = None
     if max(conv["alpha_s"], conv["alpha_x"], conv["alpha_z"]) > 0:
-        reg = _build_regularization(conv, asm.mesh,
-                                    conv["sensitivity_weighting"])
+        reg = _build_regularization(conv, asm.mesh)
     m0 = np.full(asm.mesh.n_active, float(conv["m_ref"]))
     target = None
     if conv["target_chi2"] is not None:
@@ -227,6 +211,7 @@ def run_conventional(man: dict, asm: Assembled):
     return conventional_invert(
         asm.simulator, asm.d_obs, asm.w_d, m0, reg=reg,
         optimizer=conv["optimizer"],
+        sensitivity_weighting=conv["sensitivity_weighting"],
         max_iterations=int(conv["max_iterations"]),
         beta0=conv["beta0"], beta_cooling=conv["beta_cooling"],
         target_misfit=target)

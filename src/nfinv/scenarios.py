@@ -34,17 +34,6 @@ class GrfSpec:
 
 
 @dataclass(frozen=True)
-class EllipseSpec:
-    """Elliptical velocity target; center in width/depth fractions."""
-
-    cx_frac: float = 0.5
-    cz_frac: float = 0.4
-    rx_m: float = 12.0
-    rz_m: float = 20.0
-    velocity: float = 400.0
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     """Gaussian data noise and the matching uncertainty weights.
 
@@ -133,13 +122,15 @@ def make_case1(mesh: TensorMesh, background_velocity: float = 1000.0,
     return (1.0 / v).ravel()
 
 
-def make_case2(mesh: TensorMesh, grf: GrfSpec,
-               ellipse: EllipseSpec = EllipseSpec(),
-               background_velocity: float = 1000.0,
+def make_case2(mesh: TensorMesh, grf: GrfSpec, cx_frac: float = 0.5,
+               cz_frac: float = 0.4, rx_m: float = 12.0, rz_m: float = 20.0,
+               velocity: float = 400.0, background_velocity: float = 1000.0,
                min_velocity: float = 50.0) -> np.ndarray:
     """Elliptical target over a correlated velocity background (slowness).
 
-    The random field perturbs velocity additively; values are floored at
+    The ellipse of semi-axes ``rx_m`` and ``rz_m`` is centered at width and
+    depth fractions ``cx_frac`` and ``cz_frac`` of the core region.  The
+    random field perturbs velocity additively; values are floored at
     ``min_velocity`` to keep slowness finite and positive.
     """
     gx, gz = _core_center_grids(mesh)
@@ -148,11 +139,10 @@ def make_case2(mesh: TensorMesh, grf: GrfSpec,
     field = gaussian_random_field(mesh.nx_core, mesh.nz_core,
                                   mesh.dx_core, mesh.dz_core, grf)
     v = background_velocity + field.reshape(gz.shape)
-    cx = ellipse.cx_frac * width
-    cz = ellipse.cz_frac * depth
-    inside = (((gx - cx) / ellipse.rx_m) ** 2
-              + ((gz - cz) / ellipse.rz_m) ** 2) <= 1.0
-    v[inside] = ellipse.velocity
+    cx = cx_frac * width
+    cz = cz_frac * depth
+    inside = (((gx - cx) / rx_m) ** 2 + ((gz - cz) / rz_m) ** 2) <= 1.0
+    v[inside] = velocity
     v = np.maximum(v, min_velocity)
     return (1.0 / v).ravel()
 

@@ -14,9 +14,8 @@ import pytest
 from nfinv.dcr import assemble_system, build_dipole_dipole_survey
 from nfinv.encoding import EncodingConfig, encode
 from nfinv.inversion import (
-    Adam,
-    CoolingSchedule,
     conventional_invert,
+    cooling_beta,
     data_misfit,
     nfs_invert,
 )
@@ -33,7 +32,6 @@ from nfinv.neural_field import (
 )
 from nfinv.runner import run_case
 from nfinv.scenarios import (
-    EllipseSpec,
     GrfSpec,
     NoiseSpec,
     add_noise,
@@ -88,8 +86,8 @@ def _case1_network(mesh, seed):
 
 def _nfs_case1(mesh, sim, d_obs, w_d, seed, epochs, lr=1e-3):
     mlp, z = _case1_network(mesh, seed)
-    adam = Adam(mlp.param_count, learning_rate=lr)
-    return nfs_invert(sim, d_obs, w_d, mlp, z, epochs=epochs, adam=adam)
+    return nfs_invert(sim, d_obs, w_d, mlp, z, epochs=epochs,
+                      learning_rate=lr)
 
 
 # --- criteria -------------------------------------------------------------
@@ -203,9 +201,8 @@ def test_criterion_6_beta_schedule():
     with criterion(6, "beta(0) = 1 and beta(tau) = 1/e to machine "
                       "precision"):
         for tau in (1.0, 800.0, 3.7):
-            sched = CoolingSchedule(tau=tau)
-            assert sched.beta(0) == 1.0
-            assert sched.beta(tau) == np.exp(-1.0)
+            assert cooling_beta(0, tau) == 1.0
+            assert cooling_beta(tau, tau) == np.exp(-1.0)
 
 
 def test_criterion_8_svd_properties():
@@ -227,8 +224,7 @@ def test_criterion_8_svd_properties():
                            output_activation="tanh", output_scale=5e-3,
                            output_offset=1e-3, seed=0)
         assert mlp.param_count <= 20000
-        adam = Adam(mlp.param_count, learning_rate=1e-3)
-        nfs_invert(sim, d_obs, w_d, mlp, z, epochs=600, adam=adam)
+        nfs_invert(sim, d_obs, w_d, mlp, z, epochs=600, learning_rate=1e-3)
 
         J = weight_jacobian(mlp, z, max_bytes=2 ** 31)
         assert J.shape[0] <= 2000
@@ -386,8 +382,7 @@ def test_criterion_9_encoding_ablation():
         mesh = build_tomo_mesh(nx, nz, 1.0, 1.0)
         survey = build_crosshole_survey(mesh, 1.0)
         sim = TomoSimulator(build_ray_matrix(mesh, survey))
-        truth = make_case2(mesh, GrfSpec(100.0 ** 2, 12.0, 8.0, seed=11),
-                           EllipseSpec())
+        truth = make_case2(mesh, GrfSpec(100.0 ** 2, 12.0, 8.0, seed=11))
         d_clean = sim.predict(truth)
         n = survey.n_data
         target = 1.05 * n / 2  # both encodings reach this comfortably
@@ -407,9 +402,8 @@ def test_criterion_9_encoding_ablation():
                                    output_activation="tanh",
                                    output_scale=5e-3, output_offset=1e-3,
                                    seed=seed)
-                adam = Adam(mlp.param_count, learning_rate=1e-3)
                 res = nfs_invert(sim, d_obs, w_d, mlp, z, epochs=400,
-                                 adam=adam, target_misfit=target)
+                                 learning_rate=1e-3, target_misfit=target)
                 assert res.converged, f"{kind} seed {seed} missed the target"
                 hf[kind].append(_hf_energy(res.model, nx, nz))
                 finals[kind].append(res.final_misfit)

@@ -5,10 +5,9 @@ from nfinv import dcr, inversion, runner
 from nfinv.encoding import EncodingConfig, encode
 from nfinv.inversion import (
     Adam,
-    CoolingSchedule,
     Regularization,
-    RegularizationConfig,
     conventional_invert,
+    cooling_beta,
     data_misfit,
     nfs_invert,
     sensitivity_weights,
@@ -62,26 +61,24 @@ class TestDataMisfit:
 
 class TestBetaSchedule:
     def test_endpoints(self):
-        sched = CoolingSchedule(tau=800.0)
-        assert sched.beta(0) == 1.0
-        assert sched.beta(800) == pytest.approx(np.exp(-1.0), rel=1e-15)
+        assert cooling_beta(0, 800.0) == 1.0
+        assert cooling_beta(800, 800.0) == pytest.approx(np.exp(-1.0),
+                                                         rel=1e-15)
 
     def test_strictly_decreasing(self):
-        sched = CoolingSchedule(tau=10.0)
         ts = np.arange(50)
-        vals = [sched.beta(t) for t in ts]
+        vals = [cooling_beta(t, 10.0) for t in ts]
         assert np.all(np.diff(vals) < 0)
 
     def test_bad_tau(self):
         with pytest.raises(ValueError):
-            CoolingSchedule(tau=0.0)
+            cooling_beta(1, 0.0)
 
 
 class TestRegularization:
     def test_constant_model_zero(self):
-        cfg = RegularizationConfig(alpha_s=1.0, alpha_x=0.5, alpha_z=0.5,
-                                   m_ref=3.0)
-        reg = Regularization(cfg, nx=4, nz=3, dx=1.0, dz=1.0)
+        reg = Regularization(4, 3, 1.0, 1.0, alpha_s=1.0, alpha_x=0.5,
+                             alpha_z=0.5, m_ref=3.0)
         value, grad = reg.value_and_grad(np.full(12, 3.0))
         assert value == 0.0
         assert np.all(grad == 0.0)
@@ -90,20 +87,13 @@ class TestRegularization:
         # 3x1 grid, m = (0, 0, s): one active x-face, value
         # alpha_x * (s/dx)^2 * face_volume
         dx, dz, s = 2.0, 3.0, 5.0
-        cfg = RegularizationConfig(alpha_x=0.7)
-        reg = Regularization(cfg, nx=3, nz=1, dx=dx, dz=dz)
+        reg = Regularization(3, 1, dx, dz, alpha_x=0.7)
         value, _ = reg.value_and_grad(np.array([0.0, 0.0, s]))
         assert value == pytest.approx(0.7 * (s / dx) ** 2 * (dx * dz))
 
-    def test_case1_conventional_config_valid(self):
-        cfg = RegularizationConfig(alpha_s=0.0, alpha_x=0.5, alpha_z=0.5,
-                                   p_x=2.0, p_z=2.0)
-        assert cfg.alpha_x == cfg.alpha_z == 0.5
-
     def test_gradient_matches_fd(self):
-        cfg = RegularizationConfig(alpha_s=0.3, alpha_x=0.5, alpha_z=0.8,
-                                   m_ref=-2.0)
-        reg = Regularization(cfg, nx=5, nz=4, dx=1.5, dz=0.5)
+        reg = Regularization(5, 4, 1.5, 0.5, alpha_s=0.3, alpha_x=0.5,
+                             alpha_z=0.8, m_ref=-2.0)
         rng = np.random.default_rng(1)
         m = rng.normal(size=20)
         _, grad = reg.value_and_grad(m)
@@ -116,9 +106,8 @@ class TestRegularization:
             assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_hessian_is_exact_for_quadratic(self):
-        cfg = RegularizationConfig(alpha_s=0.2, alpha_x=0.4, alpha_z=0.6,
-                                   m_ref=1.0)
-        reg = Regularization(cfg, nx=4, nz=4, dx=1.0, dz=1.0)
+        reg = Regularization(4, 4, 1.0, 1.0, alpha_s=0.2, alpha_x=0.4,
+                             alpha_z=0.6, m_ref=1.0)
         rng = np.random.default_rng(2)
         m = rng.normal(size=16)
         d = rng.normal(size=16)
@@ -132,15 +121,14 @@ class TestRegularization:
         # k * (g . m - b)^2; face weights average the two cells' weights
         nx, nz, dx, dz, eps = 3, 2, 2.0, 0.5, 0.5
         n, v = nx * nz, dx * dz
-        cfg = RegularizationConfig(alpha_s=0.3, alpha_x=0.7, alpha_z=1.1,
-                                   p_s=1.0, p_x=0.5, p_z=2.0, m_ref=0.2)
-        reg = Regularization(cfg, nx=nx, nz=nz, dx=dx, dz=dz)
-        reg.epsilon = eps
+        reg = Regularization(nx, nz, dx, dz, alpha_s=0.3, alpha_x=0.7,
+                             alpha_z=1.1, p_s=1.0, p_x=0.5, p_z=2.0,
+                             m_ref=0.2)
         rng = np.random.default_rng(9)
         c = rng.uniform(0.1, 2.0, n)
         m0, m = rng.normal(size=n), rng.normal(size=n)
         reg.set_cell_weights(c)
-        reg.update_irls(m0)
+        reg.update_irls(m0, eps)
 
         def irls(r, p):
             return (r * r + eps * eps) ** (p / 2.0 - 1.0)
@@ -171,29 +159,25 @@ class TestRegularization:
                            rtol=1e-12, atol=0)
 
     def test_irls_weights_formula(self):
-        cfg = RegularizationConfig(alpha_s=1.0, p_s=1.0)
-        reg = Regularization(cfg, nx=2, nz=1, dx=1.0, dz=1.0)
-        reg.epsilon = 0.1
+        reg = Regularization(2, 1, 1.0, 1.0, alpha_s=1.0, p_s=1.0)
         m = np.array([0.0, 3.0])
-        reg.update_irls(m)
+        reg.update_irls(m, 0.1)
         want = (m ** 2 + 0.01) ** (-0.5)
         assert np.allclose(reg.irls_weights[0], want)
 
     def test_p0_limit_form(self):
-        cfg = RegularizationConfig(alpha_s=1.0, p_s=0.0)
-        reg = Regularization(cfg, nx=2, nz=1, dx=1.0, dz=1.0)
-        reg.epsilon = 0.1
-        reg.update_irls(np.array([0.0, 3.0]))
+        reg = Regularization(2, 1, 1.0, 1.0, alpha_s=1.0, p_s=0.0)
+        reg.update_irls(np.array([0.0, 3.0]), 0.1)
         assert np.allclose(reg.irls_weights[0],
                            (np.array([0.0, 9.0]) + 0.01) ** -1.0)
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
-            RegularizationConfig(alpha_s=-1.0)
+            Regularization(2, 1, 1.0, 1.0, alpha_s=-1.0)
         with pytest.raises(ValueError):
-            RegularizationConfig(p_s=-0.5)
+            Regularization(2, 1, 1.0, 1.0, p_s=-0.5)
         with pytest.raises(ValueError):
-            RegularizationConfig(p_s=2.5)
+            Regularization(2, 1, 1.0, 1.0, p_s=2.5)
 
 
 class TestAdam:
@@ -266,8 +250,8 @@ class TestNfsInvert:
 
     def test_misfit_drops_tenfold_on_desk_case1(self):
         _, sim, _, d_obs, w_d, z, mlp = small_tomo_setup(seed=1)
-        adam = Adam(mlp.param_count, learning_rate=1e-3)
-        result = nfs_invert(sim, d_obs, w_d, mlp, z, epochs=400, adam=adam)
+        result = nfs_invert(sim, d_obs, w_d, mlp, z, epochs=400,
+                            learning_rate=1e-3)
         assert result.final_misfit < result.misfit_history[0] / 10.0
         assert len(result.misfit_history) == 400
         assert np.all(result.beta_history == 0.0)
@@ -275,8 +259,7 @@ class TestNfsInvert:
     def test_histories_one_entry_per_epoch(self):
         _, sim, _, d_obs, w_d, z, mlp = small_tomo_setup(nx=8, nz=8,
                                                          hidden=(8, 8))
-        result = nfs_invert(sim, d_obs, w_d, mlp, z, epochs=7,
-                            schedule=CoolingSchedule(tau=800.0))
+        result = nfs_invert(sim, d_obs, w_d, mlp, z, epochs=7, tau=800.0)
         assert result.n_epochs == 7
         assert len(result.beta_history) == 7
         assert len(result.wall_clock) == 7
@@ -330,7 +313,7 @@ class TestNfsInvert:
 
         mlp = net()
         result = nfs_invert(sim, d_obs, 1.5, mlp, z, epochs=12,
-                            adam=Adam(mlp.param_count, learning_rate=1e-2))
+                            learning_rate=1e-2)
 
         ref = net()
         adam = Adam(ref.param_count, learning_rate=1e-2)
@@ -372,15 +355,25 @@ class TestConventional:
         A = rng.normal(size=(8, 6))
         d_obs = rng.normal(size=8)
         m0 = np.full(6, 0.5)
-        cfg = RegularizationConfig(alpha_s=1.0, p_s=0.0, m_ref=0.5)
+        received = []
+        update = Regularization.update_irls
+
+        def spy(self, m, epsilon):
+            received.append(epsilon)
+            update(self, m, epsilon)
+
+        monkeypatch.setattr(Regularization, "update_irls", spy)
 
         def run(iterations):
-            reg = Regularization(cfg, nx=3, nz=2, dx=1.0, dz=1.0)
+            received.clear()
+            reg = Regularization(3, 2, 1.0, 1.0, alpha_s=1.0, p_s=0.0,
+                                 m_ref=0.5)
             return reg, conventional_invert(
                 LinearSimulator(A), d_obs, 1.0, m0, reg=reg,
                 optimizer="gauss_newton", max_iterations=iterations)
 
         reg, first = run(1)
+        assert received == []
         assert all(np.all(w == 1.0) for w in reg.irls_weights)
         # the l2 Gauss-Newton step, H_reg = 2 alpha I and beta = 1
         want = np.linalg.solve(A.T @ A + 2.0 * np.eye(6),
@@ -390,15 +383,14 @@ class TestConventional:
 
         # the second iteration reweights at the first step's model
         reg, _ = run(2)
-        assert reg.epsilon == inversion.GN_IRLS_EPSILON
+        assert received == [inversion.GN_IRLS_EPSILON]
         r, eps = first.model - m0, inversion.GN_IRLS_EPSILON
         np.testing.assert_allclose(reg.irls_weights[0],
                                    1.0 / (r * r + eps * eps), rtol=1e-12)
 
     def test_gradient_descent_reduces_misfit(self):
         mesh, sim, s_true, d_obs, w_d, _, _ = small_tomo_setup(seed=3)
-        cfg = RegularizationConfig(alpha_x=0.5, alpha_z=0.5)
-        reg = Regularization(cfg, nx=16, nz=32, dx=1.0, dz=1.0)
+        reg = Regularization(16, 32, 1.0, 1.0, alpha_x=0.5, alpha_z=0.5)
         m0 = np.full(mesh.n_cells, 1e-3)
         result = conventional_invert(sim, d_obs, w_d, m0, reg=reg,
                                      optimizer="gradient_descent",
@@ -474,8 +466,7 @@ class TestConventional:
         unreg = conventional_invert(sim, d_obs, w_d, m0, reg=None,
                                     optimizer="gradient_descent",
                                     max_iterations=500)
-        cfg = RegularizationConfig(alpha_x=0.5, alpha_z=0.5)
-        reg = Regularization(cfg, nx=16, nz=32, dx=1.0, dz=1.0)
+        reg = Regularization(16, 32, 1.0, 1.0, alpha_x=0.5, alpha_z=0.5)
         smooth = conventional_invert(sim, d_obs, w_d, m0, reg=reg,
                                      optimizer="gradient_descent",
                                      max_iterations=500,
@@ -514,13 +505,39 @@ def test_gauss_newton_weights_terms_by_exact_sensitivity():
     rng = np.random.default_rng(11)
     A = rng.normal(size=(8, 6))
     w_d = rng.uniform(0.5, 2.0, 8)
-    cfg = RegularizationConfig(alpha_s=1.0, alpha_x=1.0,
-                               sensitivity_weighting=True)
-    reg = Regularization(cfg, nx=3, nz=2, dx=1.0, dz=1.0)
+    reg = Regularization(3, 2, 1.0, 1.0, alpha_s=1.0, alpha_x=1.0)
     conventional_invert(LinearSimulator(A), rng.normal(size=8), w_d,
                         np.zeros(6), reg=reg, optimizer="gauss_newton",
-                        max_iterations=1)
+                        sensitivity_weighting=True, max_iterations=1)
     assert np.array_equal(reg.term_weights[0], sensitivity_weights(A, w_d))
+
+
+def test_gauss_newton_run_leaves_no_state_for_a_network_run():
+    # each driver reweights with its own IRLS epsilon: a network run on a
+    # Regularization that Gauss-Newton has used matches one on a fresh one
+    rng = np.random.default_rng(13)
+    A = rng.normal(size=(25, 40))
+    d_obs = rng.normal(size=25)
+    z = rng.uniform(0.0, 1.0, size=(40, 3))
+
+    def sparse_reg():
+        return Regularization(8, 5, 1.0, 1.0, alpha_s=1.0, alpha_x=0.5,
+                              p_s=0.0, p_x=1.0, m_ref=0.5)
+
+    used = sparse_reg()
+    conventional_invert(LinearSimulator(A), d_obs, 1.0, np.full(40, 0.5),
+                        reg=used, optimizer="gauss_newton", max_iterations=3)
+
+    def network_run(reg):
+        mlp = init_kaiming((3, 16, 12, 1), output_scale=2.0,
+                           output_offset=0.5, seed=4)
+        return nfs_invert(LinearSimulator(A), d_obs, 1.0, mlp, z, epochs=6,
+                          tau=10.0, reg=reg)
+
+    after, fresh = network_run(used), network_run(sparse_reg())
+    assert np.array_equal(after.misfit_history, fresh.misfit_history)
+    assert np.array_equal(after.reg_history, fresh.reg_history)
+    assert np.array_equal(after.model, fresh.model)
 
 
 @pytest.fixture(scope="module")

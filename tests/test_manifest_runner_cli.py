@@ -431,6 +431,16 @@ class TestCli:
         (["make-scenario", "--case", "1", "--out", "no_dir/m.json"], "--out"),
         (["simulate", "--manifest", "m.json", "--out", "a_file"], "--out"),
         (["invert", "--manifest", "m.json", "--out", "a_file"], "--out"),
+        (["render", "--grid", "g.csv", "--vmin=-inf", "--out", "g.png"],
+         "--vmin"),
+        (["render", "--grid", "g.csv", "--vmin=nan", "--out", "g.png"],
+         "--vmin"),
+        (["render", "--grid", "g.csv", "--vmax=inf", "--out", "g.png"],
+         "--vmax"),
+        (["render", "--grid", "g.csv", "--vmin", "5", "--vmax", "1",
+          "--out", "g.png"], "--vmax"),
+        (["render", "--grid", "g.csv", "--vmin", "2", "--vmax", "2",
+          "--out", "g.png"], "--vmax"),
     ])
     def test_bad_paths_and_options_exit_2(self, tmp_path, monkeypatch,
                                           capsys, argv, option):
@@ -444,6 +454,14 @@ class TestCli:
         assert main(argv) == 2
         assert f"invalid input at {option}:" in capsys.readouterr().err
         assert not (tmp_path / "g.png").exists()
+
+    def test_make_scenario_refuses_a_bad_seed_before_writing(self, tmp_path,
+                                                              capsys):
+        out = tmp_path / "m.json"
+        assert main(["make-scenario", "--case", "1", "--seed", "-1",
+                     "--out", str(out)]) == 2
+        assert "invalid input at seed:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_svd_verb(self, tmp_path, monkeypatch, capsys):
         man = tiny_case1(epochs=3)

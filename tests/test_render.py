@@ -20,8 +20,9 @@ def test_png_round_trip(tmp_path):
 def test_constant_grid_single_color(tmp_path):
     csv = tmp_path / "grid.csv"
     write_grid_csv(csv, np.full(6, 2.5), nx=3, nz=2, dx=1.0, dz=1.0)
-    img = render_heatmap(csv, tmp_path / "grid.png", scale=4, colorbar=False)
-    flat = img.reshape(-1, 3)
+    img = render_heatmap(csv, tmp_path / "grid.png", scale=4)
+    # the cell blocks, left of the color strip
+    flat = img[:, :3 * 4].reshape(-1, 3)
     assert len(np.unique(flat, axis=0)) == 1
 
 
@@ -30,20 +31,22 @@ def test_2x2_grid_four_blocks(tmp_path):
     write_grid_csv(csv, np.array([0.0, 1.0, 2.0, 3.0]), nx=2, nz=2,
                    dx=1.0, dz=1.0)
     scale = 4
-    img = render_heatmap(csv, tmp_path / "grid.png", scale=scale,
-                         colorbar=False)
-    blocks = {tuple(img[r * scale, c * scale]) for r in range(2)
+    img = render_heatmap(csv, tmp_path / "grid.png", scale=scale)
+    # the cell blocks, left of the 2-pixel gap and the color strip
+    assert img.shape == (2 * scale, 2 * scale + 2 + 4, 3)
+    cells = img[:, :2 * scale]
+    blocks = {tuple(cells[r * scale, c * scale]) for r in range(2)
               for c in range(2)}
     assert len(blocks) == 4
     # each block is internally uniform
-    block = img[:scale, :scale].reshape(-1, 3)
+    block = cells[:scale, :scale].reshape(-1, 3)
     assert len(np.unique(block, axis=0)) == 1
 
 
 def test_color_range_metadata(tmp_path):
     csv = tmp_path / "grid.csv"
     write_grid_csv(csv, np.array([1.0, 5.0]), nx=2, nz=1, dx=1.0, dz=1.0)
-    render_heatmap(csv, tmp_path / "grid.png", colorbar=True)
+    render_heatmap(csv, tmp_path / "grid.png")
     _, text = read_png(tmp_path / "grid.png")
     assert text["color_range"] == "1.0..5.0"
 

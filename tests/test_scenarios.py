@@ -3,7 +3,6 @@ import pytest
 
 from nfinv.mesh import build_dcr_mesh, build_tomo_mesh
 from nfinv.scenarios import (
-    EllipseSpec,
     GrfSpec,
     NoiseSpec,
     add_noise,
@@ -88,9 +87,9 @@ class TestCase2:
 
     def test_ellipse_mask_shape(self):
         mesh = build_tomo_mesh(64, 128, 1.0, 1.0)
-        ell = EllipseSpec(cx_frac=0.5, cz_frac=0.4, rx_m=12, rz_m=20,
-                          velocity=400.0)
-        s = make_case2(mesh, GrfSpec(0.0, 8.0, 8.0, 0), ell).reshape(128, 64)
+        s = make_case2(mesh, GrfSpec(0.0, 8.0, 8.0, 0), cx_frac=0.5,
+                       cz_frac=0.4, rx_m=12, rz_m=20,
+                       velocity=400.0).reshape(128, 64)
         target = s == 1.0 / 400.0
         # widest row spans about 2*rx, tallest column about 2*rz
         assert abs(target.sum(axis=1).max() - 24) <= 2
