@@ -21,7 +21,7 @@ from nfinv.mesh import (
     embed_core,
     normalized_centers,
 )
-from nfinv.encoding import EncodingConfig, encode
+from nfinv.encoding import encode
 from nfinv.neural_field import (
     JacobianOperator,
     Mlp,
@@ -47,8 +47,6 @@ from nfinv.dcr import (
     build_dipole_dipole_survey,
 )
 from nfinv.scenarios import (
-    GrfSpec,
-    NoiseSpec,
     add_noise,
     gaussian_random_field,
     make_case1,
@@ -74,15 +72,12 @@ __all__ = [
     "CrossholeSurvey",
     "DcrSimulator",
     "DcrSurvey",
-    "EncodingConfig",
     "FvSystem",
     "GeometryError",
-    "GrfSpec",
     "InversionResult",
     "JacobianOperator",
     "ManifestError",
     "Mlp",
-    "NoiseSpec",
     "RayMatrix",
     "Regularization",
     "SolverError",

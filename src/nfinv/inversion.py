@@ -198,27 +198,33 @@ def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
     ``IRLS_EPSILON``, then backpropagate (1 - beta) * J_v + beta *
     grad phi_m(m) through the network only and take one Adam step.  With
     no ``tau``, beta is 0 throughout (the tomography configuration).
+    A physics failure or a non-finite misfit, at an epoch or of the final
+    model, raises SolverError after the weights are saved to
+    ``diagnostic.ckpt`` in ``checkpoint_dir``.
     """
     adam = Adam(mlp.param_count, learning_rate)
     w = get_weights(mlp)
     misfits, betas, regs, clocks = [], [], [], []
     converged = False
 
-    for t in range(1, epochs + 1):
-        t0 = time.perf_counter()
-        beta_t = cooling_beta(t, tau) if tau is not None else 0.0
-        lin = JacobianOperator(mlp, Z)
-        m = lin.m
+    def evaluate(m, t: int, where: str):
         try:
-            d_pred = simulator.predict(m)
-            phi_d, cot = data_misfit(w_d, d_obs, d_pred)
+            phi_d, cot = data_misfit(w_d, d_obs, simulator.predict(m))
             if not np.isfinite(phi_d):
-                raise SolverError(f"non-finite misfit at epoch {t}")
+                raise SolverError(f"non-finite misfit {where}")
         except SolverError:
             # the weights that produced the bad model, tagged with the epoch
             if checkpoint_dir is not None:
                 save_checkpoint(f"{checkpoint_dir}/diagnostic.ckpt", mlp, t)
             raise
+        return phi_d, cot
+
+    for t in range(1, epochs + 1):
+        t0 = time.perf_counter()
+        beta_t = cooling_beta(t, tau) if tau is not None else 0.0
+        lin = JacobianOperator(mlp, Z)
+        m = lin.m
+        phi_d, cot = evaluate(m, t, f"at epoch {t}")
 
         phi_m = 0.0
         g_m = (1.0 - beta_t) * simulator.gradient(cot)
@@ -245,7 +251,8 @@ def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
         clocks.append(time.perf_counter() - t0)
 
     model = forward(mlp, Z)
-    final_misfit, _ = data_misfit(w_d, d_obs, simulator.predict(model))
+    final_misfit, _ = evaluate(model, len(misfits),
+                               f"of the final model after epoch {len(misfits)}")
     return InversionResult(
         model=model,
         misfit_history=np.array(misfits),
@@ -322,6 +329,9 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
     ``sensitivity()``; the CG exit codes are returned as ``cg_info``.
     ``sensitivity_weighting`` folds exact forward-sensitivity weights
     (``sensitivity_weights``) into every term of ``reg`` at ``m0``.
+
+    A line-search trial whose ``predict`` raises SolverError is rejected
+    like one that does not decrease the objective.
 
     The simulator is linearized once per accepted model: the prediction
     of the accepted line-search trial is kept, so an iteration makes one
@@ -405,7 +415,11 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(30):
                 trial = m + step * direction
-                d_trial = simulator.predict(trial)
+                try:
+                    d_trial = simulator.predict(trial)
+                except SolverError:  # a trial the physics cannot solve
+                    step *= 0.5
+                    continue
                 phi_d_t, _ = data_misfit(w, d_obs, d_trial)
                 phi_m_t = reg.value_and_grad(trial)[0] if reg is not None else 0.0
                 if phi_d_t + beta_t * phi_m_t <= total0 + 1e-4 * step * slope:

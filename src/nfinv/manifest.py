@@ -13,9 +13,9 @@ import json
 import sys
 from dataclasses import dataclass
 
-from nfinv.errors import ManifestError
+from nfinv.errors import CapacityError, ManifestError
 from nfinv.neural_field import OUTPUT_ACTIVATIONS, param_count
-from nfinv.svd_analysis import _GRAM_BYTES
+from nfinv.svd_analysis import check_svd_capacity
 
 SCHEMA_VERSION = 1
 
@@ -48,16 +48,15 @@ def default_manifest(case: int, method: str = "nfs", seed: int = 0,
         "case": case,
         "method": method,
         "seed": seed,
-        "desk_scale": desk_scale,
         "checkpoint_every": 0,
         "svd": None,
     }
     if case in (1, 2):
-        man["mesh"] = ({"kind": "tomo", "nx": 32, "nz": 64, "dx": 1.0, "dz": 1.0}
+        man["mesh"] = ({"nx": 32, "nz": 64, "dx": 1.0, "dz": 1.0}
                        if desk_scale else
-                       {"kind": "tomo", "nx": 64, "nz": 128, "dx": 1.0, "dz": 1.0})
+                       {"nx": 64, "nz": 128, "dx": 1.0, "dz": 1.0})
         man["survey"] = {"spacing": 1.0}
-        man["noise"] = {"kind": "absolute_gaussian", "std_ms": 20.0}
+        man["noise"] = {"std_ms": 20.0}  # absolute Gaussian
         man["epochs"] = 600 if desk_scale else 2000
         man["network"] = {
             "hidden": list(DESK_HIDDEN if desk_scale else PAPER_HIDDEN),
@@ -93,19 +92,19 @@ def default_manifest(case: int, method: str = "nfs", seed: int = 0,
                             "rz_m": 20.0, "velocity": 400.0},
             }
     else:
-        man["mesh"] = ({"kind": "dcr", "nx_core": 100, "nz_core": 24,
-                        "dx": 5.0, "dz": 5.0, "n_pad": 6, "pad_factor": 1.5}
+        man["mesh"] = ({"nx_core": 100, "nz_core": 24, "dx": 5.0, "dz": 5.0,
+                        "n_pad": 6, "pad_factor": 1.5}
                        if desk_scale else
-                       {"kind": "dcr", "nx_core": 200, "nz_core": 45,
-                        "dx": 5.0, "dz": 5.0, "n_pad": 7, "pad_factor": 1.5})
+                       {"nx_core": 200, "nz_core": 45, "dx": 5.0, "dz": 5.0,
+                        "n_pad": 7, "pad_factor": 1.5})
         # unit line current (A per meter of strike); recorded for audit
         man["survey"] = ({"line_length": 350.0, "station_sep": 25.0,
                           "max_rx": 24, "x0": None, "current": 1.0}
                          if desk_scale else
                          {"line_length": 700.0, "station_sep": 25.0,
                           "max_rx": 24, "x0": None, "current": 1.0})
-        man["noise"] = {"kind": "relative_gaussian", "rel_fraction": 0.05,
-                        "floor_v": 1e-6}
+        # relative Gaussian: std = rel_fraction * |d| + floor_v
+        man["noise"] = {"rel_fraction": 0.05, "floor_v": 1e-6}
         man["epochs"] = 800 if desk_scale else 2000
         man["encoding"] = {"kind": "identity", "coord_range": [-1.0, 1.0]}
         man["network"] = {
@@ -208,14 +207,11 @@ COMMON = {
     "schema_version": F(int, choices=(SCHEMA_VERSION,)),
     "method": F(str, choices=("nfs", "conventional")),
     "seed": F(int, lo=0),
-    "desk_scale": F(bool),
     "checkpoint_every": F(int, lo=0),
     "epochs": COUNT,
     # svd.mode picked an SVD path that no longer exists; the benchmark's
     # manifests still carry it, so it is accepted and ignored
     "svd": F(dict, null=True, of={"k": COUNT, "mode": F(str, optional=True)}),
-    # a run's manifest echo adds the resolved mesh, so that it reruns as is
-    "mesh_resolved": F(object, optional=True),
     "encoding": Tagged("kind", {
         "identity": {"coord_range": PAIR},
         "basic": {"coord_range": PAIR},
@@ -243,23 +239,19 @@ COMMON = {
 
 # The survey builders check the survey's fit to the mesh themselves.
 TOMO = {
-    "mesh": {"kind": F(str, choices=("tomo",)), "nx": COUNT, "nz": COUNT,
-             "dx": POSITIVE, "dz": POSITIVE},
+    "mesh": {"nx": COUNT, "nz": COUNT, "dx": POSITIVE, "dz": POSITIVE},
     "survey": {"spacing": POSITIVE},
-    "noise": {"kind": F(str, choices=("absolute_gaussian",)),
-              "std_ms": POSITIVE},
+    "noise": {"std_ms": POSITIVE},
 }
 
 DCR = {
-    "mesh": {"kind": F(str, choices=("dcr",)), "nx_core": COUNT,
-             "nz_core": COUNT, "dx": POSITIVE, "dz": POSITIVE,
-             "n_pad": F(int, lo=0), "pad_factor": F(float, lo=1)},
+    "mesh": {"nx_core": COUNT, "nz_core": COUNT, "dx": POSITIVE,
+             "dz": POSITIVE, "n_pad": F(int, lo=0), "pad_factor": F(float, lo=1)},
     "survey": {"line_length": POSITIVE, "station_sep": POSITIVE,
                "max_rx": COUNT, "x0": F(float, null=True),
                "current": POSITIVE},
     # a positive floor keeps every uncertainty positive
-    "noise": {"kind": F(str, choices=("relative_gaussian",)),
-              "rel_fraction": NON_NEGATIVE, "floor_v": POSITIVE},
+    "noise": {"rel_fraction": NON_NEGATIVE, "floor_v": POSITIVE},
     "padding_sigma": POSITIVE,
 }
 
@@ -365,21 +357,14 @@ def validate_manifest(man: dict) -> None:
         raise ManifestError("encoding.coord_range",
                             f"must be [lo, hi] with lo < hi, got {[lo, hi]}")
     if man["svd"] is not None:
-        k = man["svd"]["k"]
         mesh = man["mesh"]
         n_cells = (mesh["nx"] * mesh["nz"] if man["case"] in (1, 2)
                    else mesh["nx_core"] * mesh["nz_core"])
-        # ARPACK finds fewer eigenpairs than the Gram matrix has rows
-        if k >= n_cells:
-            raise ManifestError("svd.k", f"must lie in [1, {n_cells - 1}], "
-                                         f"got {k}")
-        if n_cells * n_cells * 8 > _GRAM_BYTES:
-            raise ManifestError("svd.k", f"the SVD's {n_cells}^2 Gram matrix "
-                                         f"exceeds {_GRAM_BYTES} bytes")
-        n_weights = param_count(layer_dims(man))
-        if k > n_weights:
-            raise ManifestError("svd.k", f"must not exceed the network's "
-                                         f"{n_weights} weights, got {k}")
+        try:
+            check_svd_capacity(n_cells, param_count(layer_dims(man)),
+                               man["svd"]["k"])
+        except (ValueError, CapacityError) as exc:
+            raise ManifestError("svd.k", str(exc)) from exc
 
 
 def load_manifest(path):

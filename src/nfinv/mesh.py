@@ -117,19 +117,6 @@ class TensorMesh:
         return (float(self.cell_x_edges[self.n_pad]),
                 float(self.cell_x_edges[self.n_pad + self.nx_core]))
 
-    def to_dict(self) -> dict:
-        """Edge arrays and core layout, for the run manifest."""
-        return {
-            "dx_core": self.dx_core,
-            "dz_core": self.dz_core,
-            "nx_core": self.nx_core,
-            "nz_core": self.nz_core,
-            "n_pad": self.n_pad,
-            "pad_factor": self.pad_factor,
-            "cell_x_edges": [float(v) for v in self.cell_x_edges],
-            "cell_z_edges": [float(v) for v in self.cell_z_edges],
-        }
-
 
 def build_tomo_mesh(nx: int, nz: int, dx: float, dz: float) -> TensorMesh:
     """Uniform unpadded mesh for cross-hole tomography; all cells active."""

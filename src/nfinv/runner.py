@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nfinv import dcr, tomo
-from nfinv.encoding import EncodingConfig, encode
+from nfinv.encoding import encode, gaussian_frequencies, write_b_matrix_csv
 from nfinv.errors import GeometryError, ManifestError
 from nfinv.inversion import Regularization, conventional_invert, nfs_invert
 from nfinv.manifest import (
@@ -34,9 +34,8 @@ from nfinv.mesh import (
 from nfinv.neural_field import init_kaiming, save_checkpoint
 from nfinv.render import render_heatmap
 from nfinv.scenarios import (
-    GrfSpec,
-    NoiseSpec,
     add_noise,
+    gaussian_random_field,
     make_case1,
     make_case2,
     make_case3,
@@ -56,7 +55,6 @@ class Assembled:
     d_clean: np.ndarray
     d_obs: np.ndarray
     w_d: np.ndarray
-    background_model: float      # uniform background in model units
 
 
 def assemble(man: dict) -> Assembled:
@@ -72,21 +70,18 @@ def assemble(man: dict) -> Assembled:
         if case == 1:
             truth = make_case1(mesh, **tm)
         else:
-            grf_cfg = tm["grf"]
-            grf = GrfSpec(variance=grf_cfg["variance"],
-                          len_x=grf_cfg["len_x"], len_z=grf_cfg["len_z"],
-                          seed=sub_seed(seed, "grf"))
-            truth = make_case2(mesh, grf, **tm["ellipse"],
+            field = gaussian_random_field(
+                mesh.nx_core, mesh.nz_core, mesh.dx_core, mesh.dz_core,
+                **tm["grf"], seed=sub_seed(seed, "grf"))
+            truth = make_case2(mesh, field, **tm["ellipse"],
                                background_velocity=tm["background_velocity"])
         try:
             survey = tomo.build_crosshole_survey(mesh, man["survey"]["spacing"])
         except ValueError as exc:
             raise ManifestError("survey.spacing", str(exc)) from exc
         simulator = tomo.TomoSimulator(tomo.build_ray_matrix(mesh, survey))
-        noise = NoiseSpec(kind="absolute_gaussian",
-                          std=man["noise"]["std_ms"] * 1e-3,
-                          seed=sub_seed(seed, "noise"))
-        background = 1.0 / tm["background_velocity"]
+        d_clean = simulator.predict(truth)
+        uncertainty = man["noise"]["std_ms"] * 1e-3
     else:
         mesh = build_dcr_mesh(mesh_cfg["nx_core"], mesh_cfg["nz_core"],
                               mesh_cfg["dx"], mesh_cfg["dz"],
@@ -112,17 +107,14 @@ def assemble(man: dict) -> Assembled:
         except GeometryError as exc:
             raise ManifestError("survey.line_length" if sv["x0"] is None
                                 else "survey.x0", str(exc)) from exc
-        noise = NoiseSpec(kind="relative_gaussian",
-                          rel_fraction=man["noise"]["rel_fraction"],
-                          floor=man["noise"]["floor_v"],
-                          seed=sub_seed(seed, "noise"))
-        background = man["conventional"]["m_ref"]
+        d_clean = simulator.predict(truth)
+        uncertainty = (man["noise"]["rel_fraction"] * np.abs(d_clean)
+                       + man["noise"]["floor_v"])
 
-    d_clean = simulator.predict(truth)
-    d_obs, w_d = add_noise(d_clean, noise)
+    d_obs, w_d = add_noise(d_clean, uncertainty, sub_seed(seed, "noise"))
     return Assembled(mesh=mesh, truth=truth, survey=survey,
                      simulator=simulator, d_clean=d_clean, d_obs=d_obs,
-                     w_d=w_d, background_model=background)
+                     w_d=w_d)
 
 
 def _write_data_files(man: dict, asm: Assembled, out_dir: str) -> None:
@@ -158,24 +150,27 @@ def _build_regularization(cfg: dict, mesh: TensorMesh) -> Regularization:
                           **{key: cfg[key] for key in REGULARIZATION})
 
 
-def encode_cells(man: dict,
-                 mesh: TensorMesh) -> tuple[EncodingConfig, np.ndarray]:
-    """The manifest's encoding and the encoded core-cell centers."""
-    # the schema admits m only for the linear kind, b_rows and b_std only
-    # for the gaussian one
-    params = dict(man["encoding"])
-    lo, hi = params.pop("coord_range")
-    config = EncodingConfig(**params, seed=sub_seed(man["seed"], "encoding"))
-    return config, encode(config, normalized_centers(mesh, lo, hi))
+def encode_cells(man: dict, mesh: TensorMesh
+                 ) -> tuple[np.ndarray | None, np.ndarray]:
+    """The gaussian kind's frequency matrix B (None for the other kinds)
+    and the encoded core-cell centers."""
+    enc = man["encoding"]
+    b = None
+    if enc["kind"] == "gaussian":
+        b = gaussian_frequencies(enc["b_rows"], enc["b_std"],
+                                 sub_seed(man["seed"], "encoding"))
+    lo, hi = enc["coord_range"]
+    # the schema admits m only for the linear kind
+    return b, encode(normalized_centers(mesh, lo, hi), enc["kind"],
+                     m=enc.get("m"), b=b)
 
 
 def run_nfs(man: dict, asm: Assembled, out_dir: str | None = None):
     """NFs inversion per the manifest; returns (result, mlp, Z)."""
     seed = man["seed"]
-    config, Z = encode_cells(man, asm.mesh)
-    if config.kind == "gaussian" and out_dir is not None:
-        from nfinv.encoding import write_b_matrix_csv
-        write_b_matrix_csv(config, os.path.join(out_dir, "b_matrix.csv"))
+    b, Z = encode_cells(man, asm.mesh)
+    if b is not None and out_dir is not None:
+        write_b_matrix_csv(b, os.path.join(out_dir, "b_matrix.csv"))
 
     net = man["network"]
     mlp = init_kaiming((Z.shape[1], *net["hidden"], 1),
@@ -235,25 +230,23 @@ def compute_metrics(man: dict, asm: Assembled, result) -> dict:
         "artifact_energy": None,
     }
     if man["case"] == 1:
-        bg = asm.background_model
+        bg = 1.0 / man["true_model"]["background_velocity"]
         off_target = asm.truth == bg
         metrics["artifact_energy"] = float(
             np.sum((result.model[off_target] - bg) ** 2))
     return metrics
 
 
-def _write_echo(man: dict, asm: Assembled, out_dir: str) -> None:
-    # echo carries the resolved mesh (edge arrays) alongside the inputs
-    echo = dict(man)
-    echo["mesh_resolved"] = asm.mesh.to_dict()
-    save_manifest(echo, os.path.join(out_dir, "manifest_echo.json"))
+def _write_echo(man: dict, out_dir: str) -> None:
+    """The manifest as run, which reruns to the same CSVs."""
+    save_manifest(man, os.path.join(out_dir, "manifest_echo.json"))
 
 
 def _simulate(man: dict, out_dir: str) -> Assembled:
     """Assemble the manifest and write its echo, truth and data files."""
     os.makedirs(out_dir, exist_ok=True)
     asm = assemble(man)
-    _write_echo(man, asm, out_dir)
+    _write_echo(man, out_dir)
     _write_model_grid(asm.mesh, asm.truth, out_dir, "truth")
     _write_data_files(man, asm, out_dir)
     return asm

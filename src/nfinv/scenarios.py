@@ -13,80 +13,45 @@ arguments with documented defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from nfinv.mesh import TensorMesh
 
 
-@dataclass(frozen=True)
-class GrfSpec:
-    """Stationary Gaussian random field with Gaussian covariance.
-
-    cov(h) = variance * exp(-(hx/len_x)^2 - (hz/len_z)^2)
-    """
-
-    variance: float
-    len_x: float
-    len_z: float
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Gaussian data noise and the matching uncertainty weights.
-
-    absolute_gaussian: std in data units; W_d = (1/std) I, so uniform
-    uncertainties act as an identity weighting up to scale.
-    relative_gaussian: per-datum std = rel_fraction * |d| + floor.
-    """
-
-    kind: str = "absolute_gaussian"
-    std: float = 0.0
-    rel_fraction: float = 0.0
-    floor: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("absolute_gaussian", "relative_gaussian"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.std < 0 or self.rel_fraction < 0 or self.floor < 0:
-            raise ValueError("noise parameters must be non-negative")
-
-
-def gaussian_random_field(nx: int, nz: int, dx: float, dz: float,
-                          spec: GrfSpec) -> np.ndarray:
+def gaussian_random_field(nx: int, nz: int, dx: float, dz: float, *,
+                          variance: float, len_x: float, len_z: float,
+                          seed: int) -> np.ndarray:
     """Mean-zero field on the core grid via FFT spectral synthesis.
 
-    The covariance is embedded on an enlarged torus (double the grid, at
-    least six correlation lengths) so the crop carries no wraparound
-    correlation; small negative eigenvalues of the embedding are clipped.
+    The covariance, cov(h) = variance * exp(-(hx/len_x)^2 - (hz/len_z)^2),
+    is embedded on an enlarged torus (double the grid, at least six
+    correlation lengths) so the crop carries no wraparound correlation;
+    small negative eigenvalues of the embedding are clipped.
     Returns nx*nz values, row-major with x fastest.
     """
-    if spec.len_x <= 0 or spec.len_z <= 0:
+    if len_x <= 0 or len_z <= 0:
         raise ValueError("correlation lengths must be positive")
-    if spec.variance < 0:
+    if variance < 0:
         raise ValueError("variance must be non-negative")
-    if spec.variance == 0.0:
+    if variance == 0.0:
         return np.zeros(nx * nz)
 
-    ex = max(2 * nx, nx + int(np.ceil(6 * spec.len_x / dx)))
-    ez = max(2 * nz, nz + int(np.ceil(6 * spec.len_z / dz)))
+    ex = max(2 * nx, nx + int(np.ceil(6 * len_x / dx)))
+    ez = max(2 * nz, nz + int(np.ceil(6 * len_z / dz)))
 
     # torus distances on the embedding grid
     hx = np.arange(ex) * dx
     hx = np.minimum(hx, ex * dx - hx)
     hz = np.arange(ez) * dz
     hz = np.minimum(hz, ez * dz - hz)
-    qx = (hx / spec.len_x) ** 2
-    qz = (hz / spec.len_z) ** 2
-    cov = spec.variance * np.exp(-(qz[:, None] + qx[None, :]))
+    qx = (hx / len_x) ** 2
+    qz = (hz / len_z) ** 2
+    cov = variance * np.exp(-(qz[:, None] + qx[None, :]))
 
     spectrum = np.fft.fft2(cov).real
     spectrum = np.maximum(spectrum, 0.0)
 
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     n_tot = ex * ez
     eps = rng.standard_normal((ez, ex)) + 1j * rng.standard_normal((ez, ex))
     field = np.fft.ifft2(eps * np.sqrt(spectrum / n_tot)).real * n_tot
@@ -122,23 +87,22 @@ def make_case1(mesh: TensorMesh, background_velocity: float = 1000.0,
     return (1.0 / v).ravel()
 
 
-def make_case2(mesh: TensorMesh, grf: GrfSpec, cx_frac: float = 0.5,
+def make_case2(mesh: TensorMesh, field: np.ndarray, cx_frac: float = 0.5,
                cz_frac: float = 0.4, rx_m: float = 12.0, rz_m: float = 20.0,
                velocity: float = 400.0, background_velocity: float = 1000.0,
                min_velocity: float = 50.0) -> np.ndarray:
     """Elliptical target over a correlated velocity background (slowness).
 
-    The ellipse of semi-axes ``rx_m`` and ``rz_m`` is centered at width and
-    depth fractions ``cx_frac`` and ``cz_frac`` of the core region.  The
-    random field perturbs velocity additively; values are floored at
-    ``min_velocity`` to keep slowness finite and positive.
+    ``field`` perturbs the background velocity additively, one value per
+    core cell in ``gaussian_random_field``'s order.  The ellipse of
+    semi-axes ``rx_m`` and ``rz_m`` is centered at width and depth
+    fractions ``cx_frac`` and ``cz_frac`` of the core region.  Values are
+    floored at ``min_velocity`` to keep slowness finite and positive.
     """
     gx, gz = _core_center_grids(mesh)
     width = mesh.nx_core * mesh.dx_core
     depth = mesh.nz_core * mesh.dz_core
-    field = gaussian_random_field(mesh.nx_core, mesh.nz_core,
-                                  mesh.dx_core, mesh.dz_core, grf)
-    v = background_velocity + field.reshape(gz.shape)
+    v = background_velocity + np.asarray(field).reshape(gz.shape)
     cx = cx_frac * width
     cz = cz_frac * depth
     inside = (((gx - cx) / rx_m) ** 2 + ((gz - cz) / rz_m) ** 2) <= 1.0
@@ -209,23 +173,18 @@ def make_case4(mesh: TensorMesh, dip_angle_deg: float = 45.0,
     return m.ravel()
 
 
-def add_noise(data: np.ndarray, spec: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
+def add_noise(data: np.ndarray, uncertainty,
+              seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded Gaussian noise plus the diagonal of W_d (1/uncertainty).
 
-    With std = 0 the data pass through unchanged and the weights come from
-    the floor value.
+    ``uncertainty`` is the noise standard deviation in data units, one
+    value for every datum or one per datum.
     """
     data = np.asarray(data, dtype=float)
     if not np.all(np.isfinite(data)):
         raise ValueError("data must be finite")
-    rng = np.random.default_rng(spec.seed)
-    if spec.kind == "absolute_gaussian":
-        unc = np.full(data.shape, spec.std if spec.std > 0 else spec.floor)
-        noisy = data + rng.normal(0.0, spec.std, data.shape) \
-            if spec.std > 0 else data.copy()
-    else:
-        unc = spec.rel_fraction * np.abs(data) + spec.floor
-        noisy = data + rng.standard_normal(data.shape) * unc
-    if np.any(unc <= 0):
-        raise ValueError("uncertainties must be positive; set std or floor")
-    return noisy, 1.0 / unc
+    unc = np.broadcast_to(np.asarray(uncertainty, dtype=float), data.shape)
+    if not np.all(unc > 0):
+        raise ValueError("uncertainties must be positive")
+    rng = np.random.default_rng(seed)
+    return data + rng.standard_normal(data.shape) * unc, 1.0 / unc

@@ -28,6 +28,21 @@ from nfinv.neural_field import JacobianOperator, Mlp
 _GRAM_BYTES = 2 ** 30
 
 
+def check_svd_capacity(n_cells: int, n_weights: int, k: int) -> None:
+    """Refuse a top-k SVD of an (n_cells, n_weights) Jacobian that
+    ``truncated_svd`` cannot compute: ValueError unless
+    1 <= k <= min(n_cells - 1, n_weights) (ARPACK finds fewer eigenpairs
+    than the Gram matrix has rows), CapacityError when the Gram matrix
+    would exceed the byte budget.
+    """
+    if not 1 <= k <= min(n_cells - 1, n_weights):
+        raise ValueError(f"must lie in [1, {min(n_cells - 1, n_weights)}], "
+                         f"got {k}")
+    if n_cells * n_cells * 8 > _GRAM_BYTES:
+        raise CapacityError(f"the SVD's {n_cells}^2 Gram matrix exceeds "
+                            f"{_GRAM_BYTES} bytes")
+
+
 @dataclass
 class SvdResult:
     """Top-k singular triplets, values descending."""
@@ -55,16 +70,10 @@ def _fix_signs(U: np.ndarray, V: np.ndarray):
 def truncated_svd(J, k: int) -> SvdResult:
     """Top-k singular triplets of a matrix or a :class:`JacobianOperator`.
 
-    Needs 1 <= k < n_rows and k <= n_cols (ARPACK finds fewer than
-    n_rows eigenpairs); raises CapacityError when the Gram matrix would
-    exceed the byte budget.
+    Raises as ``check_svd_capacity`` does for k and the Gram matrix size.
     """
-    n, p = J.shape
-    if not 1 <= k <= min(n - 1, p):
-        raise ValueError(f"k must lie in [1, {min(n - 1, p)}], got {k}")
-    if n * n * 8 > _GRAM_BYTES:
-        raise CapacityError(f"Gram matrix ({n} x {n}) exceeds "
-                            f"{_GRAM_BYTES} bytes")
+    n = J.shape[0]
+    check_svd_capacity(n, J.shape[1], k)
 
     dense = isinstance(J, np.ndarray)
     G = J @ J.T if dense else J.gram()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nfinv.dcr import assemble_system, build_dipole_dipole_survey
-from nfinv.encoding import EncodingConfig, encode
+from nfinv.encoding import encode, gaussian_frequencies
 from nfinv.inversion import (
     conventional_invert,
     cooling_beta,
@@ -32,9 +32,8 @@ from nfinv.neural_field import (
 )
 from nfinv.runner import run_case
 from nfinv.scenarios import (
-    GrfSpec,
-    NoiseSpec,
     add_noise,
+    gaussian_random_field,
     make_case1,
     make_case2,
 )
@@ -76,8 +75,7 @@ def case1_desk():
 def _case1_network(mesh, seed):
     """Untrained case-1 network (identity encoding, desk widths) and its
     encoded coordinates."""
-    z = encode(EncodingConfig(kind="identity"),
-               normalized_centers(mesh, 0.0, 1.0))
+    z = encode(normalized_centers(mesh, 0.0, 1.0), "identity")
     mlp = init_kaiming((z.shape[1],) + DESK_HIDDEN + (1,),
                        output_activation="tanh", output_scale=5e-3,
                        output_offset=1e-3, seed=seed)
@@ -215,11 +213,9 @@ def test_criterion_8_svd_properties():
         survey = build_crosshole_survey(mesh, 1.0)
         sim = TomoSimulator(build_ray_matrix(mesh, survey))
         truth = make_case1(mesh)
-        d_obs, w_d = add_noise(sim.predict(truth),
-                               NoiseSpec("absolute_gaussian", std=0.020,
-                                         seed=0))
+        d_obs, w_d = add_noise(sim.predict(truth), 0.020, seed=0)
         grid = normalized_centers(mesh, 0.0, 1.0)
-        z = encode(EncodingConfig(kind="identity"), grid)
+        z = encode(grid, "identity")
         mlp = init_kaiming((2, 24, 48, 48, 48, 48, 24, 1),
                            output_activation="tanh", output_scale=5e-3,
                            output_offset=1e-3, seed=0)
@@ -247,8 +243,7 @@ def case1_nfs_runs(case1_desk):
     mesh, sim, truth, d_clean = case1_desk
     runs = []
     for seed in (0, 1, 2):
-        d_obs, w_d = add_noise(
-            d_clean, NoiseSpec("absolute_gaussian", std=0.020, seed=seed))
+        d_obs, w_d = add_noise(d_clean, 0.020, seed=seed)
         result = _nfs_case1(mesh, sim, d_obs, w_d, seed, epochs=800)
         runs.append((seed, d_obs, w_d, result))
     return runs
@@ -382,7 +377,9 @@ def test_criterion_9_encoding_ablation():
         mesh = build_tomo_mesh(nx, nz, 1.0, 1.0)
         survey = build_crosshole_survey(mesh, 1.0)
         sim = TomoSimulator(build_ray_matrix(mesh, survey))
-        truth = make_case2(mesh, GrfSpec(100.0 ** 2, 12.0, 8.0, seed=11))
+        truth = make_case2(mesh, gaussian_random_field(
+            nx, nz, 1.0, 1.0, variance=100.0 ** 2, len_x=12.0, len_z=8.0,
+            seed=11))
         d_clean = sim.predict(truth)
         n = survey.n_data
         target = 1.05 * n / 2  # both encodings reach this comfortably
@@ -391,13 +388,10 @@ def test_criterion_9_encoding_ablation():
         finals = {"identity": [], "gaussian": []}
         grid = normalized_centers(mesh, -1.0, 1.0)
         for seed in (0, 1, 2):
-            d_obs, w_d = add_noise(
-                d_clean, NoiseSpec("absolute_gaussian", std=0.020, seed=seed))
+            d_obs, w_d = add_noise(d_clean, 0.020, seed=seed)
             for kind in ("identity", "gaussian"):
-                cfg = (EncodingConfig(kind="identity") if kind == "identity"
-                       else EncodingConfig(kind="gaussian", b_rows=128,
-                                           b_std=0.5, seed=100 + seed))
-                z = encode(cfg, grid)
+                z = encode(grid, kind,
+                           b=gaussian_frequencies(128, 0.5, seed=100 + seed))
                 mlp = init_kaiming((z.shape[1],) + DESK_HIDDEN + (1,),
                                    output_activation="tanh",
                                    output_scale=5e-3, output_offset=1e-3,
@@ -421,8 +415,7 @@ def test_criterion_10_determinism(tmp_path):
     with criterion(10, "rerunning a manifest reproduces byte-identical CSV "
                        "outputs"):
         man = default_manifest(1, method="nfs", seed=4)
-        man["mesh"] = {"kind": "tomo", "nx": 12, "nz": 16, "dx": 1.0,
-                       "dz": 1.0}
+        man["mesh"] = {"nx": 12, "nz": 16, "dx": 1.0, "dz": 1.0}
         man["survey"] = {"spacing": 2.0}
         man["epochs"] = 10
         man["network"]["hidden"] = [16, 16]

@@ -1,5 +1,4 @@
 import csv
-import logging
 
 import numpy as np
 import pytest
@@ -559,7 +558,7 @@ def test_indexed_csv_matches_datum_loop(tmp_path, which):
 
 # ---------------------------------------------- direct-solve health
 
-def test_cg_fallback_warns_and_meets_residual(caplog):
+def test_direct_solve_above_residual_raises():
     mesh, _ = desk_case3()
     system = assemble_system(mesh, np.full(mesh.n_cells, 0.01))
     lu = system._lu
@@ -572,13 +571,9 @@ def test_cg_fallback_warns_and_meets_residual(caplog):
 
     system._lu = Perturbed()
     b = np.random.default_rng(19).normal(size=(mesh.n_cells, 3))
-    with caplog.at_level(logging.WARNING, logger="nfinv.dcr"):
-        x = system.solve(b)
-    [record] = caplog.records
-    assert "1 column(s)" in record.getMessage()
-    assert "worst" in record.getMessage()
-    res = np.linalg.norm(system.L @ x - b, axis=0)
-    assert np.all(res <= 1e-8 * np.linalg.norm(b, axis=0))
+    with pytest.raises(SolverError, match=r"1 column\(s\) above the 1e-8 "
+                                          r"relative residual \(worst \d"):
+        system.solve(b)
 
 
 def test_predict_rejects_nonpositive_conductivity():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nfinv import dcr, inversion, runner
-from nfinv.encoding import EncodingConfig, encode
+from nfinv.encoding import encode
+from nfinv.errors import SolverError
 from nfinv.inversion import (
     Adam,
     Regularization,
@@ -16,7 +17,7 @@ from nfinv.manifest import default_manifest
 from nfinv.mesh import build_tomo_mesh, normalized_centers
 from nfinv.neural_field import (forward, get_weights, init_kaiming,
                                 set_weights, vjp)
-from nfinv.scenarios import NoiseSpec, add_noise, make_case1
+from nfinv.scenarios import add_noise, make_case1
 from nfinv.tomo import TomoSimulator, build_crosshole_survey, build_ray_matrix
 
 
@@ -203,10 +204,9 @@ def small_tomo_setup(nx=16, nz=32, seed=0, hidden=(32, 64, 64, 32)):
     sim = TomoSimulator(build_ray_matrix(mesh, survey))
     s_true = make_case1(mesh)
     d_clean = sim.predict(s_true)
-    d_obs, w_d = add_noise(d_clean, NoiseSpec("absolute_gaussian", std=0.020,
-                                              seed=seed))
+    d_obs, w_d = add_noise(d_clean, 0.020, seed=seed)
     grid = normalized_centers(mesh, 0.0, 1.0)
-    z = encode(EncodingConfig(kind="basic"), grid)
+    z = encode(grid, "basic")
     mlp = init_kaiming((z.shape[1],) + hidden + (1,), output_activation="tanh",
                        output_scale=5e-3, output_offset=1e-3, seed=seed)
     return mesh, sim, s_true, d_obs, w_d, z, mlp
@@ -425,6 +425,26 @@ class TestConventional:
         assert not result.converged
         # the final misfit is that of the model returned, not of the
         # rejected trials the simulator saw last
+        assert result.final_misfit == data_misfit(1.0, d_obs,
+                                                  A @ result.model)[0]
+
+    @pytest.mark.parametrize("optimizer", ["gradient_descent", "gauss_newton"])
+    def test_unsolvable_trial_is_rejected(self, optimizer):
+        # the physics fails beyond |m| = 1, and both first trial steps land
+        # at m = 4
+        class BoundedSimulator(LinearSimulator):
+            def predict(self, m):
+                if np.max(np.abs(m)) > 1.0:
+                    raise SolverError("no solution beyond |m| = 1")
+                return super().predict(m)
+
+        A = np.eye(3) + 0.1
+        d_obs = A @ np.full(3, 4.0)
+        result = conventional_invert(BoundedSimulator(A), d_obs, 1.0,
+                                     np.zeros(3), reg=None,
+                                     optimizer=optimizer, max_iterations=10)
+        assert result.status in ("ok", "line_search_failed")
+        assert 0.0 < np.max(np.abs(result.model)) <= 1.0
         assert result.final_misfit == data_misfit(1.0, d_obs,
                                                   A @ result.model)[0]
 

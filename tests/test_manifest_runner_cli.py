@@ -20,7 +20,7 @@ from nfinv.runner import assemble, encode_cells, run_case, simulate_case
 
 def tiny_case1(method="nfs", seed=0, epochs=8):
     man = default_manifest(1, method=method, seed=seed)
-    man["mesh"] = {"kind": "tomo", "nx": 12, "nz": 16, "dx": 1.0, "dz": 1.0}
+    man["mesh"] = {"nx": 12, "nz": 16, "dx": 1.0, "dz": 1.0}
     man["survey"] = {"spacing": 2.0}
     man["epochs"] = epochs
     man["network"]["hidden"] = [16, 16]
@@ -39,8 +39,8 @@ def tiny_case2_gaussian(seed=0, epochs=8):
 
 def tiny_case3(method="nfs", seed=0, epochs=8):
     man = default_manifest(3, method=method, seed=seed)
-    man["mesh"] = {"kind": "dcr", "nx_core": 20, "nz_core": 8, "dx": 5.0,
-                   "dz": 5.0, "n_pad": 4, "pad_factor": 1.5}
+    man["mesh"] = {"nx_core": 20, "nz_core": 8, "dx": 5.0, "dz": 5.0,
+                   "n_pad": 4, "pad_factor": 1.5}
     man["survey"].update(line_length=80.0, station_sep=10.0)
     man["epochs"] = epochs
     man["network"]["hidden"] = [16, 16]
@@ -170,6 +170,7 @@ class TestRunner:
         man = tiny_case1(seed=9)
         run_case(man, tmp_path / "a")
         echoed = load_manifest(tmp_path / "a" / "manifest_echo.json")
+        assert echoed == man  # the manifest as run
         run_case(echoed, tmp_path / "b")
         a = (tmp_path / "a" / "recovered.csv").read_bytes()
         b = (tmp_path / "b" / "recovered.csv").read_bytes()
@@ -250,8 +251,7 @@ class TestCli:
         assert main(["make-scenario", "--case", "1", "--seed", "2",
                      "--out", str(man_path)]) == 0
         man = load_manifest(man_path)
-        man["mesh"] = {"kind": "tomo", "nx": 10, "nz": 12, "dx": 1.0,
-                       "dz": 1.0}
+        man["mesh"] = {"nx": 10, "nz": 12, "dx": 1.0, "dz": 1.0}
         man["survey"] = {"spacing": 3.0}
         man["epochs"] = 4
         man["network"]["hidden"] = [8, 8]
@@ -391,6 +391,23 @@ class TestCli:
         assert "numerical abort" in capsys.readouterr().err
         # diagnostic checkpoint written for post-mortem
         assert (tmp_path / "run" / "diagnostic.ckpt").exists()
+
+    def test_divergence_in_the_last_epoch_exit_3(self, tmp_path, capsys):
+        # one Adam step at lr = 1e300 leaves finite weights whose model
+        # overflows: only the final evaluation sees it
+        man = tiny_case1(epochs=1)
+        man["nfs"]["learning_rate"] = 1e300
+        path = tmp_path / "diverge.json"
+        save_manifest(man, path)
+        with np.errstate(all="ignore"):
+            code = main(["invert", "--manifest", str(path),
+                         "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert "final model" in capsys.readouterr().err
+        mlp, header = load_checkpoint(tmp_path / "run" / "diagnostic.ckpt")
+        assert header["epoch"] == 1
+        assert np.all(np.isfinite(get_weights(mlp)))
+        assert not (tmp_path / "run" / "weights_final.ckpt").exists()
 
     def test_dcr_divergence_exit_3(self, tmp_path, capsys):
         # a linear head at lr = 50 sends 10**m to 0 within a few epochs

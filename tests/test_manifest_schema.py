@@ -1,13 +1,15 @@
 """The manifest schema: every bad input exits 2 naming its field.
 
-The table tests run through ``cli.main`` in-process; the property test
-mutates tiny default manifests and forward-models them with ``simulate``.
+The table tests run through ``cli.main`` in-process; the property tests
+mutate tiny default manifests and run them with ``simulate`` and
+``invert``.
 """
 
 import json
 import math
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +73,11 @@ PROBES = [
     ("simulate", 1, "survey.spacing", 3.0, "survey.spacing"),
     ("simulate", 3, "survey.x0", -500.0, "survey.x0"),
     ("simulate", 3, "survey.line_length", 20.0, "survey.line_length"),
+    # keys that no code read, in an old manifest that still carries them
+    ("simulate", 1, "desk_scale", True, "desk_scale"),
+    ("simulate", 3, "mesh.kind", "dcr", "mesh.kind"),
+    ("simulate", 1, "noise.kind", "absolute_gaussian", "noise.kind"),
+    ("simulate", 3, "mesh_resolved", {"n_pad": 4}, "mesh_resolved"),
 ]
 
 
@@ -152,11 +159,9 @@ def bounded(decl):
 RETYPES = (None, True, "x", [1.0], {"x": 1}, 1, 0.5)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_mutated_manifest_simulates_or_exits_2(data):
-    case = data.draw(st.sampled_from([1, 2, 3, 4]))
-    man = tiny(case)
+def draw_mutation(data, man):
+    """Drop, retype or push past its bound one drawn value of ``man``;
+    returns which of the three it did."""
     how = data.draw(st.sampled_from(["drop", "retype", "past"]))
     paths = [p for p in leaf_paths(man)
              if how != "past" or bounded(declaration(man, p))]
@@ -172,13 +177,39 @@ def test_mutated_manifest_simulates_or_exits_2(data):
     else:
         value = past_bound(declaration(man, path))
     mutate(man, path, value)
+    return how
+
+
+def run_verb(verb, man):
+    """``nfinv <verb>`` on ``man`` in a scratch directory; the exit code."""
     with tempfile.TemporaryDirectory() as d:
         with open(f"{d}/man.json", "w") as f:
             json.dump(man, f)
-        code = main(["simulate", "--manifest", f"{d}/man.json",
+        return main([verb, "--manifest", f"{d}/man.json",
                      "--out", f"{d}/out"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_manifest_simulates_or_exits_2(data):
+    man = tiny(data.draw(st.sampled_from([1, 2, 3, 4])))
+    how = draw_mutation(data, man)
+    code = run_verb("simulate", man)
     # a dropped key or a value past its bound is always invalid
     assert code == 2 if how != "retype" else code in (0, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_manifest_inverts_or_exits_2_or_3(data):
+    man = tiny(data.draw(st.sampled_from([1, 2, 3, 4])))
+    man["method"] = data.draw(st.sampled_from(["nfs", "conventional"]))
+    man["epochs"] = 1
+    man["conventional"]["max_iterations"] = 1
+    how = draw_mutation(data, man)
+    with np.errstate(all="ignore"):
+        code = run_verb("invert", man)
+    assert code == 2 if how != "retype" else code in (0, 2, 3)
 
 
 def declared_keys(spec, path=""):
@@ -215,7 +246,7 @@ def test_schema_declares_exactly_the_default_keys():
                 defaults |= manifest_keys(default_manifest(case, method,
                                                            desk_scale=desk))
     # encoding.m: the linear kind, which no case uses; svd.k: svd is null
-    # in every default; svd.mode and mesh_resolved are accepted, ignored
-    unused = {"encoding.m", "svd.k", "svd.mode", "mesh_resolved"}
+    # in every default; svd.mode is accepted and ignored
+    unused = {"encoding.m", "svd.k", "svd.mode"}
     assert declared_keys(SCHEMA) - defaults == unused
     assert defaults <= declared_keys(SCHEMA)

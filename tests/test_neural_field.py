@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nfinv import neural_field
-from nfinv.encoding import EncodingConfig, encode
+from nfinv.encoding import encode
 from nfinv.errors import CapacityError
 from nfinv.mesh import build_tomo_mesh, normalized_centers
 from nfinv.neural_field import (
@@ -101,8 +101,7 @@ class TestForward:
         mlp = init_kaiming((2, 3, 1), output_activation="tanh",
                            output_scale=2.0, output_offset=0.5, seed=11)
         mesh = build_tomo_mesh(2, 2, 1.0, 1.0)
-        z = encode(EncodingConfig(kind="identity"),
-                   normalized_centers(mesh, 0.0, 1.0))
+        z = encode(normalized_centers(mesh, 0.0, 1.0), "identity")
         got = forward(mlp, z)
 
         def leaky(v):
@@ -203,8 +202,7 @@ class TestJacobian:
 
     def test_case1_row_count_via_operator(self):
         mesh = build_tomo_mesh(64, 128, 1.0, 1.0)
-        z = encode(EncodingConfig(kind="basic"),
-                   normalized_centers(mesh, 0.0, 1.0))
+        z = encode(normalized_centers(mesh, 0.0, 1.0), "basic")
         mlp = init_kaiming((4,) + PAPER_HIDDEN + (1,))
         op = JacobianOperator(mlp, z)
         assert op.shape == (8192, 264065)

@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse.linalg import eigsh
 
 from nfinv import svd_analysis
-from nfinv.encoding import EncodingConfig, encode
+from nfinv.encoding import encode
 from nfinv.errors import CapacityError
 from nfinv.mesh import build_tomo_mesh, normalized_centers
 from nfinv.neural_field import (
@@ -112,8 +112,7 @@ class TestTruncatedSvd:
 
 def _identity_net(nx, nz, hidden, **init):
     mesh = build_tomo_mesh(nx, nz, 1.0, 1.0)
-    z = encode(EncodingConfig(kind="identity"),
-               normalized_centers(mesh, 0.0, 1.0))
+    z = encode(normalized_centers(mesh, 0.0, 1.0), "identity")
     return init_kaiming((2, *hidden, 1), **init), z
 
 
