@@ -88,8 +88,6 @@ def build_dipole_dipole_survey(line_length: float, station_sep: float,
 class FvSystem:
     """Assembled conductance Laplacian with a reusable factorization."""
 
-    mesh: TensorMesh
-    sigma: np.ndarray
     L: sp.csr_matrix
     _lu: spla.SuperLU = field(repr=False)
 
@@ -136,7 +134,7 @@ def assemble_system(mesh: TensorMesh, sigma: np.ndarray) -> FvSystem:
             lu = spla.splu(L.tocsc())
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
-    return FvSystem(mesh=mesh, sigma=sigma, L=L, _lu=lu)
+    return FvSystem(L, lu)
 
 
 def electrode_cells(mesh: TensorMesh, survey: DcrSurvey) -> np.ndarray:
@@ -146,15 +144,14 @@ def electrode_cells(mesh: TensorMesh, survey: DcrSurvey) -> np.ndarray:
     Snap distances are logged at debug level.
     """
     x_lo, x_hi = mesh.core_x_extent
-    core_cols = np.arange(mesh.n_pad, mesh.n_pad + mesh.nx_core)
-    centers = mesh.x_centers[core_cols]
+    centers = mesh.core_centers[0]
     cells = np.empty(len(survey.electrode_x), dtype=int)
     for k, ex in enumerate(survey.electrode_x):
         if not (x_lo - 1e-9 <= ex <= x_hi + 1e-9):
             raise GeometryError(
                 f"electrode at x={ex} outside core extent [{x_lo}, {x_hi}]")
         j = int(np.argmin(np.abs(centers - ex)))
-        cells[k] = core_cols[j]  # surface row, iz = 0
+        cells[k] = mesh.n_pad + j  # surface row, iz = 0
         snap = abs(centers[j] - ex)
         if snap > 1e-9:
             log.debug("electrode %d snapped %.3f m to x=%.2f", k, snap,
@@ -162,45 +159,65 @@ def electrode_cells(mesh: TensorMesh, survey: DcrSurvey) -> np.ndarray:
     return cells
 
 
-class PolePotentials:
-    """The DC forward map linearized at one conductivity model.
+class DcrSimulator:
+    """Nonlinear forward map over active-cell log10-conductivity.
 
-    Construction makes one solve with one column per electrode, the survey
-    current injected at that electrode's cell: the pole potentials
+    ``predict`` assembles and factorizes the FV system for the model, then
+    makes one solve with one column per electrode, the survey current
+    injected at that electrode's cell: the pole potentials
     Phi = L^-1 (I E), shape (n_cells, n_elec) (Rücker, Günther & Spitzer
     2006, GJI 166).  A datum is the superposition
     d = P[M, A] - P[M, B] - P[N, A] + P[N, B] of the electrode potentials
     P = Phi[electrode cells].  L is symmetric, so by reciprocity the adjoint
     field of receiver dipole (M, N) is (Phi[:, M] - Phi[:, N]) / I
     (McGillivray & Oldenburg 1990, Geophys. Prosp. 38) and the derivative
-    of a datum is -(Phi_M - Phi_N)^T dL (Phi_A - Phi_B) / I.  Neither
-    derivative solves: ``gradient`` contracts the face potentials with the
-    cotangent scattered onto electrode pairs (one product per call), and
-    ``sensitivity`` forms the whole Jacobian, n_data x n_active, once per
-    linearization for callers that take many products.  Derivatives are
-    with respect to active-cell log10-conductivity; padding is frozen.
+    of a datum is -(Phi_M - Phi_N)^T dL (Phi_A - Phi_B) / I.  The
+    derivatives linearize at the most recent predict without a solve:
+    ``gradient`` contracts the face potentials with the cotangent scattered
+    onto electrode pairs (one product per call), and ``sensitivity`` forms
+    the whole Jacobian, n_data x n_active, on first use and keeps it until
+    the next predict, so a caller that takes one adjoint per model never
+    builds it (``jvp`` is ``sensitivity() @ dm``).  Derivatives are with
+    respect to active-cell log10-conductivity; padding is frozen.
     """
 
-    def __init__(self, system: FvSystem, survey: DcrSurvey,
-                 cells: np.ndarray | None = None):
-        if cells is None:
-            cells = electrode_cells(system.mesh, survey)
-        n_elec = len(cells)
-        rhs = np.zeros((system.mesh.n_cells, n_elec))
-        rhs[cells, np.arange(n_elec)] = survey.current
-        # no reference to the system: its factorization is freed with it
-        self.mesh = system.mesh
-        self.sigma = system.sigma
+    def __init__(self, mesh: TensorMesh, survey: DcrSurvey,
+                 background_sigma: float):
+        if background_sigma <= 0:
+            raise ValueError("background conductivity must be positive")
+        self.mesh = mesh
         self.survey = survey
-        self.phi = system.solve(rhs)
-        self.data = self._gather(self.phi[cells])
+        self.background_sigma = background_sigma
+        self._cells = electrode_cells(mesh, survey)  # validates geometry
+        # the last predict's pole potentials, conductivity and Jacobian
+        self.phi = self.sigma = self._J = None
 
-    def _gather(self, p: np.ndarray) -> np.ndarray:
-        """Dipole-dipole data from an electrode-by-electrode matrix."""
-        a, b, m, n = self.survey.abmn.T
-        return (p[m, a] - p[m, b]) - (p[n, a] - p[n, b])
+    def predict(self, m: np.ndarray) -> np.ndarray:
+        """Data at model m; SolverError if 10**m is not finite and > 0."""
+        m = np.asarray(m, dtype=float)
+        sigma = 10.0 ** m
+        n_bad = np.count_nonzero(~(np.isfinite(sigma) & (sigma > 0)))
+        if n_bad:
+            raise SolverError(
+                f"model gives {n_bad} cell(s) a non-finite or non-positive "
+                f"conductivity (m in [{np.min(m):.4g}, {np.max(m):.4g}])")
+        sigma_full = embed_core(self.mesh, sigma, self.background_sigma)
+        # A built Jacobian goes before the next factorization, which would
+        # otherwise raise the peak RSS.  Without one the old fields stay
+        # until the new ones exist: freeing them first lets the allocator
+        # return their pages and fault them in again (~5,000 minor faults,
+        # ~13 ms per full-scale predict).
+        if self._J is not None:
+            self.phi = self.sigma = self._J = None
+        system = assemble_system(self.mesh, sigma_full)
+        n_elec = len(self._cells)
+        rhs = np.zeros((self.mesh.n_cells, n_elec))
+        rhs[self._cells, np.arange(n_elec)] = self.survey.current
+        self.phi, self.sigma = system.solve(rhs), sigma_full
+        P = self.phi[self._cells]
+        A, B, M, N = self.survey.abmn.T
+        return (P[M, A] - P[M, B]) - (P[N, A] - P[N, B])
 
-    @cached_property
     def _dg(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """dg/dsigma on either side of interior faces and at boundary faces."""
         fi, fj, area, di, dj, _, b_area, b_dist = self.mesh.faces
@@ -211,12 +228,14 @@ class PolePotentials:
 
     def gradient(self, cotangent: np.ndarray) -> np.ndarray:
         """Gradient of (cotangent . data) w.r.t. active log10-conductivity."""
+        if self.phi is None:
+            raise SolverError("gradient requested before any predict")
         v = np.asarray(cotangent, dtype=float)
         if v.shape != (self.survey.n_data,):
             raise ValueError(
                 f"cotangent must have length {self.survey.n_data}")
         # W[e, e'] = sum of v over data with receiver electrode e and
-        # source electrode e', signed as in _gather
+        # source electrode e', signed as in predict
         ne = self.phi.shape[1]
         a, b, m, n = self.survey.abmn.T
         W = np.bincount(np.concatenate([m * ne + a, m * ne + b,
@@ -224,7 +243,7 @@ class PolePotentials:
                         np.concatenate([v, -v, -v, v]),
                         minlength=ne * ne).reshape(ne, ne)
         fi, fj, *_, bc, _, _ = self.mesh.faces
-        dg_i, dg_j, dgb = self._dg
+        dg_i, dg_j, dgb = self._dg()
         dphi = self.phi[fi] - self.phi[fj]
         wf = np.einsum("fe,fe->f", dphi @ W, dphi)
         phib = self.phi[bc]
@@ -235,6 +254,14 @@ class PolePotentials:
         grad_sigma *= -1.0 / self.survey.current
         act = self.mesh.active_indices
         return grad_sigma[act] * self.sigma[act] * LN10
+
+    def jvp(self, dm: np.ndarray) -> np.ndarray:
+        """Derivative of the data along dm in active log10-conductivity."""
+        dm = np.asarray(dm, dtype=float)
+        if dm.shape != (self.mesh.n_active,):
+            raise ValueError(
+                f"dm must have {self.mesh.n_active} entries, got {dm.shape}")
+        return self.sensitivity() @ dm
 
     def _face_to_active(self, face_cells, dg) -> sp.csr_matrix:
         """Scatter of per-face values onto active cells, scaled to d/dm.
@@ -254,17 +281,20 @@ class PolePotentials:
         return sp.csr_matrix((vals[keep], (col[cells[keep]], faces[keep])),
                              shape=(mesh.n_active, len(dg[0])))
 
-    @cached_property
     def sensitivity(self) -> np.ndarray:
-        """Jacobian of the data w.r.t. active log10-conductivity.
+        """The data Jacobian J (n_data x n_active) at the last predict.
 
-        Shape (n_data, n_active).  Row d scatters the face-wise product of
-        the receiver and source dipole potential drops onto cells.  The
-        rows are formed one source dipole at a time, so the per-face
-        temporaries hold only that source's receivers.
+        Row d scatters the face-wise product of the receiver and source
+        dipole potential drops onto cells.  The rows are formed one source
+        dipole at a time, so the per-face temporaries hold only that
+        source's receivers.
         """
+        if self.phi is None:
+            raise SolverError("sensitivity requested before any predict")
+        if self._J is not None:
+            return self._J
         fi, fj, *_, bc, _, _ = self.mesh.faces
-        dg_i, dg_j, dgb = self._dg
+        dg_i, dg_j, dgb = self._dg()
         terms = [(self.phi[fi] - self.phi[fj],
                   self._face_to_active((fi, fj), (dg_i, dg_j))),
                  (self.phi[bc], self._face_to_active((bc,), (dgb,)))]
@@ -280,71 +310,8 @@ class PolePotentials:
             J[d] = reduce(np.add, (C @ ((p[:, m] - p[:, n])
                                         * (p[:, a] - p[:, b])[:, None])
                                    for p, C in terms)).T
+        self._J = J
         return J
-
-
-class DcrSimulator:
-    """Nonlinear forward map over active-cell log10-conductivity.
-
-    ``predict`` reassembles and refactorizes the FV system for the given
-    model and keeps its :class:`PolePotentials`, dropping the previous one
-    before the solve when it holds a Jacobian.  ``gradient``, ``jvp`` and
-    ``sensitivity`` linearize at the most recent predict without a solve;
-    the explicit sensitivity is built on first use and kept until the next
-    predict, so a caller that takes one adjoint per model never builds it
-    (``jvp`` is ``sensitivity() @ dm``).
-    """
-
-    def __init__(self, mesh: TensorMesh, survey: DcrSurvey,
-                 background_sigma: float):
-        if background_sigma <= 0:
-            raise ValueError("background conductivity must be positive")
-        self.mesh = mesh
-        self.survey = survey
-        self.background_sigma = background_sigma
-        self._cells = electrode_cells(mesh, survey)  # validates geometry
-        self._poles: PolePotentials | None = None
-
-    def predict(self, m: np.ndarray) -> np.ndarray:
-        """Data at model m; SolverError if 10**m is not finite and > 0."""
-        m = np.asarray(m, dtype=float)
-        sigma = 10.0 ** m
-        n_bad = np.count_nonzero(~(np.isfinite(sigma) & (sigma > 0)))
-        if n_bad:
-            raise SolverError(
-                f"model gives {n_bad} cell(s) a non-finite or non-positive "
-                f"conductivity (m in [{np.min(m):.4g}, {np.max(m):.4g}])")
-        sigma_full = embed_core(self.mesh, sigma, self.background_sigma)
-        # A built Jacobian goes before the next factorization, which would
-        # otherwise raise the peak RSS.  Without one the old fields stay
-        # until the new ones exist: freeing them first lets the allocator
-        # return their pages and fault them in again (~5,000 minor faults,
-        # ~13 ms per full-scale predict).
-        if self._poles is not None and "sensitivity" in vars(self._poles):
-            self._poles = None
-        self._poles = PolePotentials(assemble_system(self.mesh, sigma_full),
-                                     self.survey, self._cells)
-        return self._poles.data
-
-    def _linearization(self, what: str) -> PolePotentials:
-        if self._poles is None:
-            raise SolverError(f"{what} requested before any predict")
-        return self._poles
-
-    def gradient(self, cotangent: np.ndarray) -> np.ndarray:
-        return self._linearization("gradient").gradient(cotangent)
-
-    def jvp(self, dm: np.ndarray) -> np.ndarray:
-        """Derivative of the data along dm in active log10-conductivity."""
-        dm = np.asarray(dm, dtype=float)
-        if dm.shape != (self.mesh.n_active,):
-            raise ValueError(
-                f"dm must have {self.mesh.n_active} entries, got {dm.shape}")
-        return self.sensitivity() @ dm
-
-    def sensitivity(self) -> np.ndarray:
-        """The data Jacobian J (n_data x n_active) at the last predict."""
-        return self._linearization("sensitivity").sensitivity
 
 
 def apparent_resistivity(survey: DcrSurvey, data: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the byte budget."""
+
+MAX_BYTES = 2 ** 30  # bytes that one array sized by run settings may take
 
 
 class GeometryError(ValueError):

@@ -278,6 +278,13 @@ SCHEMA = Tagged("case", {
            "true_model": TRUE_MODEL[case]}
     for case in (1, 2, 3, 4)})
 
+# the header line that neural_field.save_checkpoint writes
+CHECKPOINT = {"layer_dims": F(list, of=COUNT), "hidden_slope": NUMBER,
+              "output_activation": F(str, choices=OUTPUT_ACTIVATIONS),
+              "output_scale": NUMBER, "output_offset": NUMBER,
+              "seed": F(int, lo=0, null=True), "epoch": F(int, null=True),
+              "dtype": F(str)}
+
 
 def _is(value, kind: type) -> bool:
     if isinstance(value, bool):
@@ -365,6 +372,13 @@ def validate_manifest(man: dict) -> None:
                                man["svd"]["k"])
         except (ValueError, CapacityError) as exc:
             raise ManifestError("svd.k", str(exc)) from exc
+    nfs, conv = man["nfs"], man["conventional"]
+    if nfs["regularization"] is not None and nfs["tau"] is None:
+        raise ManifestError("nfs.regularization", "no effect: nfs.tau is null")
+    alphas = (conv["alpha_s"], conv["alpha_x"], conv["alpha_z"])
+    if conv["sensitivity_weighting"] and max(alphas) == 0:
+        raise ManifestError("conventional.sensitivity_weighting",
+                            "no effect without an alpha > 0")
 
 
 def load_manifest(path):

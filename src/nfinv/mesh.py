@@ -23,9 +23,8 @@ import numpy as np
 class TensorMesh:
     """Tensor-product cell grid: uniform core plus expanding padding.
 
-    Padding cell k (counted outward from the core) has width
-    ``dx_core * pad_factor**k``.  Padding is applied to the left, right and
-    bottom sides only; the top is the ground surface.
+    ``n_pad`` padding cells lie to the left, right and bottom of the core;
+    the top is the ground surface.
     """
 
     dx_core: float
@@ -33,13 +32,11 @@ class TensorMesh:
     nx_core: int
     nz_core: int
     n_pad: int
-    pad_factor: float
     cell_x_edges: np.ndarray
     cell_z_edges: np.ndarray
-    active_mask: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.cell_x_edges, self.cell_z_edges, self.active_mask):
+        for arr in (self.cell_x_edges, self.cell_z_edges):
             arr.setflags(write=False)
 
     @property
@@ -76,7 +73,15 @@ class TensorMesh:
 
     @cached_property
     def active_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.active_mask)
+        """Full-mesh indices of the core cells, in core order."""
+        cols = np.arange(self.n_pad, self.n_pad + self.nx_core)
+        return (np.arange(self.nz_core)[:, None] * self.nx_full + cols).ravel()
+
+    @property
+    def core_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centers of the core columns (x) and of the core rows (z)."""
+        return (self.x_centers[self.n_pad:self.n_pad + self.nx_core],
+                self.z_centers[:self.nz_core])
 
     @cached_property
     def faces(self) -> tuple[np.ndarray, ...]:
@@ -123,8 +128,7 @@ def build_tomo_mesh(nx: int, nz: int, dx: float, dz: float) -> TensorMesh:
     _check_core_args(nx, nz, dx, dz)
     x_edges = np.arange(nx + 1, dtype=float) * dx
     z_edges = np.arange(nz + 1, dtype=float) * dz
-    active = np.ones(nx * nz, dtype=bool)
-    return TensorMesh(dx, dz, nx, nz, 0, 1.0, x_edges, z_edges, active)
+    return TensorMesh(dx, dz, nx, nz, 0, x_edges, z_edges)
 
 
 def build_dcr_mesh(nx_core: int, nz_core: int, dx: float, dz: float,
@@ -133,6 +137,8 @@ def build_dcr_mesh(nx_core: int, nz_core: int, dx: float, dz: float,
 
     The core occupies x in [0, nx_core*dx], z in [0, nz_core*dz]; padding
     extends to negative x, beyond the right edge, and below the core.
+    Padding cell k (counted outward from the core) has width
+    ``dx * pad_factor**k``, or ``dz * pad_factor**k`` below the core.
     """
     _check_core_args(nx_core, nz_core, dx, dz)
     if n_pad < 0:
@@ -147,17 +153,7 @@ def build_dcr_mesh(nx_core: int, nz_core: int, dx: float, dz: float,
 
     x_edges = np.concatenate([[0.0], np.cumsum(widths_x)]) - pads_x.sum()
     z_edges = np.concatenate([[0.0], np.cumsum(widths_z)])
-
-    nx_full = nx_core + 2 * n_pad
-    nz_full = nz_core + n_pad
-    active = np.zeros(nx_full * nz_full, dtype=bool)
-    ix = np.arange(nx_full)
-    iz = np.arange(nz_full)
-    core_col = (ix >= n_pad) & (ix < n_pad + nx_core)
-    core_row = iz < nz_core
-    active[:] = (core_row[:, None] & core_col[None, :]).ravel()
-    return TensorMesh(dx, dz, nx_core, nz_core, n_pad, pad_factor,
-                      x_edges, z_edges, active)
+    return TensorMesh(dx, dz, nx_core, nz_core, n_pad, x_edges, z_edges)
 
 
 def embed_core(mesh: TensorMesh, core_values: np.ndarray,
@@ -182,10 +178,7 @@ def normalized_centers(mesh: TensorMesh, lo: float, hi: float) -> np.ndarray:
     """
     if not hi > lo:
         raise ValueError(f"need hi > lo, got [{lo}, {hi}]")
-    xs = mesh.x_centers[mesh.n_pad:mesh.n_pad + mesh.nx_core]
-    zs = mesh.z_centers[:mesh.nz_core]
-    xn = _affine_to(xs, lo, hi)
-    zn = _affine_to(zs, lo, hi)
+    xn, zn = (_affine_to(v, lo, hi) for v in mesh.core_centers)
     gx, gz = np.meshgrid(xn, zn)  # rows are z, columns are x
     return np.column_stack([gx.ravel(), gz.ravel()])
 

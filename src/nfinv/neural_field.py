@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nfinv.errors import CapacityError
+from nfinv.errors import MAX_BYTES, CapacityError
 
 OUTPUT_ACTIVATIONS = ("tanh", "sigmoid", "relu", "none")
 
@@ -286,7 +286,7 @@ def vjp(mlp: Mlp, z, cotangent: np.ndarray) -> np.ndarray:
     return JacobianOperator(mlp, z).rmatvec(cotangent)
 
 
-def weight_jacobian(mlp: Mlp, z, max_bytes: int = 2 ** 30) -> np.ndarray:
+def weight_jacobian(mlp: Mlp, z, max_bytes: int = MAX_BYTES) -> np.ndarray:
     """Dense Jacobian d(model)/d(weights); row i is vjp with cotangent e_i.
 
     Refuses to allocate more than ``max_bytes``; use
@@ -320,9 +320,11 @@ def save_checkpoint(path, mlp: Mlp, epoch: int | None = None) -> None:
 
 def load_checkpoint(path) -> tuple[Mlp, dict]:
     """Rebuild a network from :func:`save_checkpoint` output."""
+    from nfinv.manifest import CHECKPOINT, _walk  # circular at module level
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode())
         flat = np.frombuffer(f.read(), dtype="<f8").astype(float)
+    _walk(CHECKPOINT, header, "header")
     mlp = init_kaiming(header["layer_dims"],
                        hidden_slope=header["hidden_slope"],
                        output_activation=header["output_activation"],

@@ -16,7 +16,7 @@ import numpy as np
 
 from nfinv import dcr, tomo
 from nfinv.encoding import encode, gaussian_frequencies, write_b_matrix_csv
-from nfinv.errors import GeometryError, ManifestError
+from nfinv.errors import CapacityError, GeometryError, ManifestError
 from nfinv.inversion import Regularization, conventional_invert, nfs_invert
 from nfinv.manifest import (
     REGULARIZATION,
@@ -70,14 +70,17 @@ def assemble(man: dict) -> Assembled:
         if case == 1:
             truth = make_case1(mesh, **tm)
         else:
-            field = gaussian_random_field(
-                mesh.nx_core, mesh.nz_core, mesh.dx_core, mesh.dz_core,
-                **tm["grf"], seed=sub_seed(seed, "grf"))
+            try:
+                field = gaussian_random_field(
+                    mesh.nx_core, mesh.nz_core, mesh.dx_core, mesh.dz_core,
+                    **tm["grf"], seed=sub_seed(seed, "grf"))
+            except CapacityError as exc:
+                raise ManifestError("true_model.grf", str(exc)) from exc
             truth = make_case2(mesh, field, **tm["ellipse"],
                                background_velocity=tm["background_velocity"])
         try:
             survey = tomo.build_crosshole_survey(mesh, man["survey"]["spacing"])
-        except ValueError as exc:
+        except (ValueError, CapacityError) as exc:
             raise ManifestError("survey.spacing", str(exc)) from exc
         simulator = tomo.TomoSimulator(tomo.build_ray_matrix(mesh, survey))
         d_clean = simulator.predict(truth)
@@ -91,6 +94,12 @@ def assemble(man: dict) -> Assembled:
         else:
             truth = make_case4(mesh, **tm)
         sv = man["survey"]
+        # a line on the core, at most one electrode per surface-cell edge
+        if sv["line_length"] > mesh.nx_core * mesh.dx_core:
+            raise ManifestError("survey.line_length", "longer than the core")
+        if sv["line_length"] / sv["station_sep"] + 1e-9 >= mesh.nx_core + 1:
+            raise ManifestError("survey.station_sep", "puts more than "
+                                f"{mesh.nx_core + 1} electrodes on the core")
         x0 = sv["x0"]
         if x0 is None:  # center the line on the core region
             core_lo, core_hi = mesh.core_x_extent

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from nfinv.errors import MAX_BYTES, CapacityError
 from nfinv.mesh import TensorMesh
 
 
@@ -36,8 +37,12 @@ def gaussian_random_field(nx: int, nz: int, dx: float, dz: float, *,
     if variance == 0.0:
         return np.zeros(nx * nz)
 
-    ex = max(2 * nx, nx + int(np.ceil(6 * len_x / dx)))
-    ez = max(2 * nz, nz + int(np.ceil(6 * len_z / dz)))
+    ex = max(2 * nx, nx + np.ceil(6 * len_x / dx))
+    ez = max(2 * nz, nz + np.ceil(6 * len_z / dz))
+    if ex * ez * 16 > MAX_BYTES:  # complex128 spectrum of the embedding
+        raise CapacityError(f"the {ez:.4g} x {ex:.4g} embedding exceeds "
+                            f"{MAX_BYTES} bytes")
+    ex, ez = int(ex), int(ez)
 
     # torus distances on the embedding grid
     hx = np.arange(ex) * dx
@@ -59,11 +64,8 @@ def gaussian_random_field(nx: int, nz: int, dx: float, dz: float, *,
 
 
 def _core_center_grids(mesh: TensorMesh):
-    xs = mesh.x_centers[mesh.n_pad:mesh.n_pad + mesh.nx_core]
-    zs = mesh.z_centers[:mesh.nz_core]
-    x0, x1 = mesh.core_x_extent
-    gx, gz = np.meshgrid(xs - x0, zs)  # x relative to core-left, z from surface
-    return gx, gz
+    xs, zs = mesh.core_centers
+    return np.meshgrid(xs - mesh.core_x_extent[0], zs)  # x from core-left
 
 
 def make_case1(mesh: TensorMesh, background_velocity: float = 1000.0,

@@ -20,12 +20,9 @@ import numpy as np
 from scipy.sparse.linalg import eigsh
 
 from nfinv.blas import scipy_blas_one_thread
-from nfinv.errors import CapacityError
+from nfinv.errors import MAX_BYTES, CapacityError
 from nfinv.mesh import write_grid_csv
 from nfinv.neural_field import JacobianOperator, Mlp
-
-# largest Gram matrix, n_cells^2 float64, that truncated_svd builds
-_GRAM_BYTES = 2 ** 30
 
 
 def check_svd_capacity(n_cells: int, n_weights: int, k: int) -> None:
@@ -38,9 +35,9 @@ def check_svd_capacity(n_cells: int, n_weights: int, k: int) -> None:
     if not 1 <= k <= min(n_cells - 1, n_weights):
         raise ValueError(f"must lie in [1, {min(n_cells - 1, n_weights)}], "
                          f"got {k}")
-    if n_cells * n_cells * 8 > _GRAM_BYTES:
+    if n_cells * n_cells * 8 > MAX_BYTES:
         raise CapacityError(f"the SVD's {n_cells}^2 Gram matrix exceeds "
-                            f"{_GRAM_BYTES} bytes")
+                            f"{MAX_BYTES} bytes")
 
 
 @dataclass

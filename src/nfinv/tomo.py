@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from nfinv.errors import GeometryError
+from nfinv.errors import MAX_BYTES, CapacityError, GeometryError
 from nfinv.mesh import TensorMesh
 
 # crossing intervals shorter than this fraction of the ray are corner
@@ -58,6 +58,9 @@ def build_crosshole_survey(mesh: TensorMesh, spacing: float) -> CrossholeSurvey:
     if spacing > depth:
         raise ValueError(f"spacing {spacing} exceeds borehole depth {depth}")
     n = depth / spacing
+    # build_ray_matrix sorts every edge crossing of the n^2 rays as float64
+    if n * n * (mesh.nx_full + mesh.nz_full + 4) * 8 > MAX_BYTES:
+        raise CapacityError(f"{n:.4g}^2 rays need over {MAX_BYTES} bytes")
     if abs(n - round(n)) > 1e-9:
         raise ValueError(f"spacing {spacing} does not divide depth {depth}")
     n = int(round(n))

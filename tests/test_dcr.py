@@ -8,7 +8,6 @@ from nfinv.dcr import (
     DcrSimulator,
     DcrSurvey,
     FvSystem,
-    PolePotentials,
     apparent_resistivity,
     assemble_system,
     build_dipole_dipole_survey,
@@ -27,6 +26,13 @@ def small_mesh():
 def small_survey():
     # 5 electrodes, 2 transmitting dipoles, 3 data
     return build_dipole_dipole_survey(100.0, 25.0, 24)
+
+
+def predict_uniform(mesh, survey, sigma):
+    """A simulator and its data on a uniform half-space of ``sigma``; the
+    padding holds ``sigma`` too."""
+    sim = DcrSimulator(mesh, survey, background_sigma=sigma)
+    return sim, sim.predict(np.full(mesh.n_active, np.log10(sigma)))
 
 
 class TestSurveyEnumeration:
@@ -141,9 +147,7 @@ class TestAnalyticOracle:
             n = int(200 / dx)
             mesh = build_dcr_mesh(n, int(60 / dx), dx, dx, n_pad, 1.5)
             survey = build_dipole_dipole_survey(100.0, 25.0, 24, x0=50.0)
-            sigma = np.full(mesh.n_cells, 0.01)
-            system = assemble_system(mesh, sigma)
-            return PolePotentials(system, survey).data
+            return predict_uniform(mesh, survey, 0.01)[1]
 
         coarse = run(2.5, 12)
         fine = run(1.25, 14)
@@ -154,22 +158,19 @@ class TestPredict:
     def test_reciprocity(self):
         mesh = small_mesh()
         rng = np.random.default_rng(5)
-        sigma = embed_core(mesh, rng.uniform(0.005, 0.05, mesh.n_active), 0.01)
-        system = assemble_system(mesh, sigma)
+        m = np.log10(rng.uniform(0.005, 0.05, mesh.n_active))
         xs = np.arange(5) * 25.0
         fwd = DcrSurvey(xs, ((0, 1),), (((3, 4),),))
         rev = DcrSurvey(xs, ((3, 4),), (((0, 1),),))
-        d1 = PolePotentials(system, fwd).data
-        system2 = assemble_system(mesh, sigma)
-        d2 = PolePotentials(system2, rev).data
+        d1 = DcrSimulator(mesh, fwd, background_sigma=0.01).predict(m)
+        d2 = DcrSimulator(mesh, rev, background_sigma=0.01).predict(m)
         assert d1[0] == pytest.approx(d2[0], rel=1e-8)
 
     def test_sigma_scaling(self):
         mesh = small_mesh()
         survey = small_survey()
-        sigma = np.full(mesh.n_cells, 0.01)
-        d1 = PolePotentials(assemble_system(mesh, sigma), survey).data
-        d2 = PolePotentials(assemble_system(mesh, 4.0 * sigma), survey).data
+        d1 = predict_uniform(mesh, survey, 0.01)[1]
+        d2 = predict_uniform(mesh, survey, 0.04)[1]
         assert np.allclose(d2, d1 / 4.0, rtol=1e-10)
 
     def test_electrode_outside_core(self):
@@ -183,8 +184,8 @@ class TestGradient:
     def test_zero_cotangent(self):
         mesh = small_mesh()
         survey = small_survey()
-        system = assemble_system(mesh, np.full(mesh.n_cells, 0.01))
-        g = PolePotentials(system, survey).gradient(np.zeros(survey.n_data))
+        sim, _ = predict_uniform(mesh, survey, 0.01)
+        g = sim.gradient(np.zeros(survey.n_data))
         assert np.all(g == 0.0)
 
     def test_matches_finite_differences(self):
@@ -235,8 +236,7 @@ def test_apparent_resistivity_uniform():
     rho = 50.0
     mesh = build_dcr_mesh(80, 24, 5.0, 5.0, 8, 1.5)
     survey = build_dipole_dipole_survey(200.0, 25.0, 4, x0=100.0)
-    system = assemble_system(mesh, np.full(mesh.n_cells, 1.0 / rho))
-    d = PolePotentials(system, survey).data
+    _, d = predict_uniform(mesh, survey, 1.0 / rho)
     rho_a = apparent_resistivity(survey, d)
     assert np.allclose(rho_a, rho, rtol=0.05)
 
@@ -356,13 +356,6 @@ def test_pole_potentials_match_dipole_solves(which):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
-    # the simulator is a view of the same linearization
-    system = assemble_system(mesh, embed_core(mesh, 10.0 ** m, 0.01))
-    poles = PolePotentials(system, survey)
-    assert np.array_equal(poles.data, got[0])
-    assert np.array_equal(poles.gradient(v), got[1])
-    assert np.array_equal(poles.sensitivity @ dm, got[2])
-
 
 def test_one_solve_per_predict_and_none_per_product(monkeypatch):
     mesh, survey = desk_case3()
@@ -472,12 +465,11 @@ def test_sensitivity_equals_two_term_sum_bitwise(which):
     sim = DcrSimulator(mesh, survey, background_sigma=0.01)
     sim.predict(-2.0 + rng.normal(0.0, 0.3, mesh.n_active))
     J = sim.sensitivity()
-    poles = sim._poles
     fi, fj, *_, bc, _, _ = mesh.faces
-    dg_i, dg_j, dgb = poles._dg
-    terms = [(poles.phi[fi] - poles.phi[fj],
-              poles._face_to_active((fi, fj), (dg_i, dg_j))),
-             (poles.phi[bc], poles._face_to_active((bc,), (dgb,)))]
+    dg_i, dg_j, dgb = sim._dg()
+    terms = [(sim.phi[fi] - sim.phi[fj],
+              sim._face_to_active((fi, fj), (dg_i, dg_j))),
+             (sim.phi[bc], sim._face_to_active((bc,), (dgb,)))]
     assert (terms[1][1].nnz == 0) == (which != "unpadded")
     want = np.array([
         np.add(*(C @ ((p[:, m] - p[:, n]) * (p[:, a] - p[:, b]))
@@ -490,13 +482,15 @@ def test_sensitivity_equals_two_term_sum_bitwise(which):
 def test_sensitivity_kept_per_predict_without_solve(monkeypatch):
     mesh, survey = desk_case3()
     sim = DcrSimulator(mesh, survey, background_sigma=0.01)
-    with pytest.raises(SolverError):
-        sim.sensitivity()
+    for derivative in (sim.sensitivity, lambda: sim.gradient(np.zeros(
+            survey.n_data)), lambda: sim.jvp(np.zeros(mesh.n_active))):
+        with pytest.raises(SolverError, match="before any predict"):
+            derivative()
     held = []
     solve = FvSystem.solve
 
     def counted(self, b):
-        held.append(sim._poles is not None)
+        held.append(sim.phi is not None)
         return solve(self, b)
 
     monkeypatch.setattr(FvSystem, "solve", counted)
@@ -508,11 +502,13 @@ def test_sensitivity_kept_per_predict_without_solve(monkeypatch):
     assert sim.sensitivity() is J
     assert held == [False]
     sim.predict(m + 0.1)
-    # a linearization holding a Jacobian is dropped before the next solve;
-    # one without is kept until the new one exists
+    # potentials with a built Jacobian are dropped before the next solve;
+    # without one they are kept until the new ones exist
     assert held == [False, False]
+    phi = sim.phi
     sim.predict(m + 0.2)
     assert held == [False, False, True]
+    assert sim.phi is not phi
     assert sim.sensitivity() is not J
 
 

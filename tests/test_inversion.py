@@ -624,8 +624,7 @@ def test_network_epochs_never_build_the_dc_sensitivity(monkeypatch):
     def refuse(self):
         raise AssertionError("sensitivity built during a network run")
 
-    monkeypatch.setattr(dcr.PolePotentials, "sensitivity",
-                        property(refuse))
+    monkeypatch.setattr(dcr.DcrSimulator, "sensitivity", refuse)
     man = default_manifest(3, "nfs")
     man["epochs"] = 2
     result, _, _ = runner.run_nfs(man, runner.assemble(man))

@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfinv.cli import main
-from nfinv.manifest import SCHEMA, F, Tagged, default_manifest, save_manifest
+from nfinv.manifest import (
+    SCHEMA,
+    F,
+    Tagged,
+    default_manifest,
+    layer_dims,
+    save_manifest,
+)
 from nfinv.neural_field import init_kaiming, save_checkpoint
 
 DROP = object()
@@ -78,6 +85,12 @@ PROBES = [
     ("simulate", 3, "mesh.kind", "dcr", "mesh.kind"),
     ("simulate", 1, "noise.kind", "absolute_gaussian", "noise.kind"),
     ("simulate", 3, "mesh_resolved", {"n_pad": 4}, "mesh_resolved"),
+    # in-range sizes whose arrays would exceed the byte budget
+    ("invert", 4, "survey.line_length", 1e300, "survey.line_length"),
+    ("invert", 3, "survey.station_sep", 1e-300, "survey.station_sep"),
+    ("invert", 2, "mesh.dx", 1e-300, "true_model.grf"),
+    ("invert", 1, "mesh.dz", 1e6, "survey.spacing"),
+    ("invert", 2, "true_model.grf.len_z", 1e6, "true_model.grf"),
 ]
 
 
@@ -116,6 +129,47 @@ def test_bad_cli_inputs_exit_2_naming_input(tmp_path, capsys):
 
     exits_2_naming(["report", str(tmp_path)],
                    str(tmp_path / "metrics.json"))
+
+
+@pytest.mark.parametrize("method,updates,field", [
+    ("nfs", {"nfs": {"tau": None}}, "nfs.regularization"),
+    ("conventional", {"conventional": {"alpha_s": 0.0, "alpha_x": 0.0,
+                                       "alpha_z": 0.0}},
+     "conventional.sensitivity_weighting"),
+])
+def test_setting_without_effect_exits_2_naming_it(tmp_path, capsys, method,
+                                                  updates, field):
+    # a regularization with beta = 0 throughout, or sensitivity weights
+    # with no regularization term to weight
+    man = tiny(3)
+    man["method"] = method
+    for block, values in updates.items():
+        man[block].update(values)
+    man_path = tmp_path / "man.json"
+    save_manifest(man, man_path)
+    assert main(["invert", "--manifest", str(man_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"invalid input at {field}: no effect" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", [
+    [1, 2], {"layer_dims": None}, {"output_scale": "a"},
+    {"hidden_slope": "a"}, {"seed": "x"}])
+def test_malformed_checkpoint_header_exits_2(tmp_path, capsys, header):
+    man = tiny(1)
+    man_path = tmp_path / "man.json"
+    save_manifest(man, man_path)
+    ckpt = tmp_path / "w.ckpt"
+    save_checkpoint(ckpt, init_kaiming(layer_dims(man)))
+    line, weights = ckpt.read_bytes().split(b"\n", 1)
+    if isinstance(header, dict):
+        header = {**json.loads(line), **header}
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + weights)
+    assert main(["svd", "--manifest", str(man_path), "--checkpoint",
+                 str(ckpt), "--k", "3", "--out", str(tmp_path / "out")]) == 2
+    assert "invalid input at --checkpoint: header" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def leaf_paths(node, path=()):

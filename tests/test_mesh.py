@@ -77,8 +77,27 @@ class TestBuildDcrMesh:
         assert (mesh.cell_z_edges[0], mesh.cell_z_edges[mesh.nz_core]) \
             == pytest.approx((0.0, 12.0))
         # top row of the full mesh is core (no padding above the surface)
-        assert mesh.active_mask[:mesh.n_pad].sum() == 0
-        assert mesh.active_mask.reshape(mesh.nz_full, mesh.nx_full)[0, 3:9].all()
+        assert np.array_equal(mesh.active_indices[:mesh.nx_core],
+                              np.arange(3, 9))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 4))
+    def test_active_indices_match_core_mask(self, nx, nz, n_pad):
+        mesh = build_dcr_mesh(nx, nz, 1.0, 2.0, n_pad, 1.5)
+        # the boolean mask the mesh used to store
+        ix = np.arange(nx + 2 * n_pad)
+        iz = np.arange(nz + n_pad)
+        core_col = (ix >= n_pad) & (ix < n_pad + nx)
+        core_row = iz < nz
+        mask = (core_row[:, None] & core_col[None, :]).ravel()
+        act = mesh.active_indices
+        assert np.array_equal(act, np.flatnonzero(mask))
+        # the core centers are those of the active cells, in core order
+        xs, zs = mesh.core_centers
+        assert np.array_equal(mesh.x_centers[act % mesh.nx_full],
+                              np.tile(xs, nz))
+        assert np.array_equal(mesh.z_centers[act // mesh.nx_full],
+                              np.repeat(zs, nx))
 
     def test_bad_pad_factor(self):
         with pytest.raises(ValueError):

@@ -156,9 +156,9 @@ class TestAnalyzeTrainedNetwork:
     def test_capacity_guard(self, monkeypatch):
         # the 256-cell Gram matrix takes 512 KB
         mlp, z = _identity_net(16, 16, (64, 64), seed=0)
-        monkeypatch.setattr(svd_analysis, "_GRAM_BYTES", 256 * 256 * 8 - 1)
+        monkeypatch.setattr(svd_analysis, "MAX_BYTES", 256 * 256 * 8 - 1)
         with pytest.raises(CapacityError):
             analyze_trained_network(mlp, z, k=2, grid_shape=(16, 16))
-        monkeypatch.setattr(svd_analysis, "_GRAM_BYTES", 256 * 256 * 8)
+        monkeypatch.setattr(svd_analysis, "MAX_BYTES", 256 * 256 * 8)
         res = analyze_trained_network(mlp, z, k=2, grid_shape=(16, 16))
         assert res.k == 2
