@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from nfinv.errors import CapacityError, ManifestError
+from nfinv.errors import MAX_BYTES, CapacityError, ManifestError
 from nfinv.neural_field import OUTPUT_ACTIVATIONS, param_count
 from nfinv.svd_analysis import check_svd_capacity
 
@@ -356,6 +356,32 @@ def layer_dims(man: dict) -> tuple[int, ...]:
     return (width, *man["network"]["hidden"], 1)
 
 
+def _check_cell_budget(man: dict) -> None:
+    """Refuse a mesh whose per-cell arrays would exceed ``MAX_BYTES``.
+
+    The network holds core cells x its widest layer; a DC predict holds
+    full-mesh cells x electrodes of pole potentials.  The error names the
+    largest cell count behind the array.
+    """
+    mesh, width = man["mesh"], max(layer_dims(man))
+    if man["case"] in (1, 2):
+        counts = {"mesh.nx": mesh["nx"], "mesh.nz": mesh["nz"]}
+        arrays = [(counts, mesh["nx"] * mesh["nz"] * width)]
+    else:
+        nx, nz, pad = mesh["nx_core"], mesh["nz_core"], mesh["n_pad"]
+        sv = man["survey"]
+        n_elec = min(nx + 1, sv["line_length"] / sv["station_sep"] + 1)
+        core = {"mesh.nx_core": nx, "mesh.nz_core": nz}
+        arrays = [(core, nx * nz * width),
+                  ({**core, "mesh.n_pad": pad},
+                   (nx + 2 * pad) * (nz + pad) * n_elec)]
+    for counts, n_values in arrays:
+        if 8 * n_values > MAX_BYTES:
+            raise ManifestError(max(counts, key=counts.get),
+                                f"{n_values:.4g} float64 values exceed the "
+                                f"{MAX_BYTES}-byte budget of one array")
+
+
 def validate_manifest(man: dict) -> None:
     """Schema check; raises ManifestError naming the offending field."""
     _walk(SCHEMA, man, "")
@@ -363,6 +389,7 @@ def validate_manifest(man: dict) -> None:
     if not lo < hi:
         raise ManifestError("encoding.coord_range",
                             f"must be [lo, hi] with lo < hi, got {[lo, hi]}")
+    _check_cell_budget(man)
     if man["svd"] is not None:
         mesh = man["mesh"]
         n_cells = (mesh["nx"] * mesh["nz"] if man["case"] in (1, 2)

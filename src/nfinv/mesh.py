@@ -116,6 +116,27 @@ class TensorMesh:
             arr.setflags(write=False)
         return out
 
+    @cached_property
+    def fv_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSC pattern of the FV operator, built once per mesh.
+
+        Returns (indices, indptr, slot): the sorted CSC row indices and
+        column pointers of L, and the data slot of each of its COO entries,
+        taken in the order (fi, fi), (fj, fj), (fi, fj), (fj, fi) over the
+        interior faces, then (bc, bc) over the boundary faces.
+        """
+        fi, fj, *_, bc, _, _ = self.faces
+        rows = np.concatenate([fi, fj, fi, fj, bc])
+        cols = np.concatenate([fi, fj, fj, fi, bc])
+        keys, slot = np.unique(cols * self.n_cells + rows, return_inverse=True)
+        indices = (keys % self.n_cells).astype(np.int32)
+        indptr = np.searchsorted(keys // self.n_cells,
+                                 np.arange(self.n_cells + 1)).astype(np.int32)
+        out = (indices, indptr, slot)
+        for arr in out:
+            arr.setflags(write=False)
+        return out
+
     @property
     def core_x_extent(self) -> tuple[float, float]:
         """(left, right) of the core region in meters."""
@@ -146,13 +167,20 @@ def build_dcr_mesh(nx_core: int, nz_core: int, dx: float, dz: float,
     if pad_factor < 1.0:
         raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
 
-    pads_x = dx * pad_factor ** np.arange(1, n_pad + 1)
-    pads_z = dz * pad_factor ** np.arange(1, n_pad + 1)
-    widths_x = np.concatenate([pads_x[::-1], np.full(nx_core, dx), pads_x])
-    widths_z = np.concatenate([np.full(nz_core, dz), pads_z])
-
-    x_edges = np.concatenate([[0.0], np.cumsum(widths_x)]) - pads_x.sum()
-    z_edges = np.concatenate([[0.0], np.cumsum(widths_z)])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        pads_x = dx * pad_factor ** np.arange(1, n_pad + 1)
+        pads_z = dz * pad_factor ** np.arange(1, n_pad + 1)
+        widths_x = np.concatenate([pads_x[::-1], np.full(nx_core, dx),
+                                   pads_x])
+        widths_z = np.concatenate([np.full(nz_core, dz), pads_z])
+        x_edges = np.concatenate([[0.0], np.cumsum(widths_x)]) - pads_x.sum()
+        z_edges = np.concatenate([[0.0], np.cumsum(widths_z)])
+    if not (np.all(np.isfinite(x_edges)) and np.all(np.isfinite(z_edges))):
+        outer = max(pads_x[-1], pads_z[-1]) if n_pad else 0.0
+        raise ValueError(f"cell edges overflow: the core is "
+                         f"{nx_core * dx:.4g} m wide and the outermost "
+                         f"padding cell max(dx, dz) * pad_factor**n_pad = "
+                         f"{outer:.4g} m")
     return TensorMesh(dx, dz, nx_core, nz_core, n_pad, x_edges, z_edges)
 
 

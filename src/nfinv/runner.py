@@ -86,9 +86,12 @@ def assemble(man: dict) -> Assembled:
         d_clean = simulator.predict(truth)
         uncertainty = man["noise"]["std_ms"] * 1e-3
     else:
-        mesh = build_dcr_mesh(mesh_cfg["nx_core"], mesh_cfg["nz_core"],
-                              mesh_cfg["dx"], mesh_cfg["dz"],
-                              mesh_cfg["n_pad"], mesh_cfg["pad_factor"])
+        try:
+            mesh = build_dcr_mesh(mesh_cfg["nx_core"], mesh_cfg["nz_core"],
+                                  mesh_cfg["dx"], mesh_cfg["dz"],
+                                  mesh_cfg["n_pad"], mesh_cfg["pad_factor"])
+        except ValueError as exc:
+            raise ManifestError("mesh.pad_factor", str(exc)) from exc
         if case == 3:
             truth = make_case3(mesh, **tm)
         else:
@@ -107,6 +110,10 @@ def assemble(man: dict) -> Assembled:
         survey = dcr.build_dipole_dipole_survey(
             sv["line_length"], sv["station_sep"], sv["max_rx"], x0=x0,
             current=sv["current"])
+        if np.any(np.diff(survey.electrode_x) <= 0):
+            raise ManifestError("survey.station_sep", "electrode positions "
+                                "are not strictly increasing in floating "
+                                f"point at x0 = {x0:.4g} m")
         if survey.n_data == 0:
             raise ManifestError("survey.line_length",
                                 "too short for one dipole-dipole datum")

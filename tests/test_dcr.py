@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nfinv import dcr
 from nfinv.dcr import (
@@ -17,6 +19,7 @@ from nfinv.dcr import (
 from nfinv.errors import GeometryError, SolverError
 from nfinv.manifest import default_manifest
 from nfinv.mesh import build_dcr_mesh, embed_core
+from nfinv.runner import assemble
 
 
 def small_mesh():
@@ -552,6 +555,85 @@ def test_indexed_csv_matches_datum_loop(tmp_path, which):
     assert np.array_equal(apparent_resistivity(survey, d), rho)
 
 
+# ------------------------------------- factorization of the SPD operator
+
+def coo_operator(mesh, sigma):
+    """L built COO -> CSC from the faces, without the per-mesh pattern."""
+    fi, fj, *_, bc, b_area, b_dist = mesh.faces
+    g = dcr._face_conductance(mesh, sigma)
+    gb = b_area * sigma[bc] / b_dist
+    rows = np.concatenate([fi, fj, fi, fj, bc])
+    cols = np.concatenate([fi, fj, fj, fi, bc])
+    vals = np.concatenate([g, g, -g, -g, gb])
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(mesh.n_cells, mesh.n_cells)).tocsc()
+
+
+def colamd_system(mesh, sigma):
+    """The COO-built operator factored with SuperLU's defaults (COLAMD
+    ordering, partial pivoting)."""
+    L = coo_operator(mesh, sigma)
+    return FvSystem(L, spla.splu(L))
+
+
+def desk_case3_truth():
+    """Desk case-3 mesh, survey and the full-mesh truth conductivity."""
+    asm = assemble(default_manifest(3, "conventional"))
+    sigma = embed_core(asm.mesh, 10.0 ** asm.truth, 0.01)
+    return asm.mesh, asm.survey, asm.truth, sigma
+
+
+@pytest.mark.parametrize("args", [(100, 24, 5.0, 5.0, 6, 1.5),
+                                  (20, 8, 5.0, 5.0, 0, 1.5),
+                                  (1, 1, 5.0, 5.0, 0, 1.5)],
+                         ids=["desk", "unpadded", "one_cell"])
+def test_pattern_operator_equals_coo_operator(args):
+    mesh = build_dcr_mesh(*args)
+    sigma = 10.0 ** np.random.default_rng(21).uniform(-4, 2, mesh.n_cells)
+    L = assemble_system(mesh, sigma).L
+    ref = coo_operator(mesh, sigma)
+    assert L.format == "csc"
+    assert np.array_equal(L.indptr, ref.indptr)
+    assert np.array_equal(L.indices, ref.indices)
+    assert np.max(np.abs(L.data - ref.data)) \
+        <= 1e-15 * np.max(np.abs(ref.data))
+
+
+def test_minimum_degree_fills_less_than_colamd():
+    mesh, _, _, sigma = desk_case3_truth()
+    lu = assemble_system(mesh, sigma)._lu
+    ref = colamd_system(mesh, sigma)._lu
+    fill, colamd_fill = lu.L.nnz + lu.U.nnz, ref.L.nnz + ref.U.nnz
+    assert colamd_fill == 140014
+    assert fill < 0.7 * colamd_fill
+
+
+@pytest.mark.parametrize("which", ["desk", "unpadded"])
+def test_predict_matches_colamd_reference(which, monkeypatch):
+    if which == "desk":
+        mesh, survey, m, _ = desk_case3_truth()
+    else:
+        mesh, survey = build_dcr_mesh(20, 8, 5.0, 5.0, 0, 1.5), small_survey()
+        m = np.random.default_rng(22).uniform(-3, -1, mesh.n_active)
+    d = DcrSimulator(mesh, survey, background_sigma=0.01).predict(m)
+    monkeypatch.setattr(dcr, "assemble_system", colamd_system)
+    ref = DcrSimulator(mesh, survey, background_sigma=0.01).predict(m)
+    assert np.max(np.abs(d - ref) / np.abs(ref)) < 1e-12
+
+
+def test_wide_conductivity_range_passes_residual_check():
+    mesh, survey = desk_case3()
+    rng = np.random.default_rng(23)
+    m = rng.uniform(-4, 2, mesh.n_active)
+    m[:2] = -4.0, 2.0
+    sim = DcrSimulator(mesh, survey, background_sigma=1e-4)
+    d = sim.predict(m)  # SolverError above the 1e-8 residual check
+    assert np.all(np.isfinite(d))
+    sigma = embed_core(mesh, 10.0 ** m, 1e-4)
+    b = rng.normal(size=(mesh.n_cells, 4))
+    assemble_system(mesh, sigma).solve(b)
+
+
 # ---------------------------------------------- direct-solve health
 
 def test_direct_solve_above_residual_raises():
@@ -604,7 +686,7 @@ def test_direct_solve_restores_scipy_blas_pool(scipy_blas, monkeypatch):
         system.solve(np.ones(mesh.n_cells))
     assert scipy_blas.scipy_openblas_get_num_threads() == 2
 
-    def failing_splu(A):
+    def failing_splu(A, **kwargs):
         inside.append(scipy_blas.scipy_openblas_get_num_threads())
         raise RuntimeError("Factor is exactly singular")
 

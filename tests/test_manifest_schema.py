@@ -91,6 +91,13 @@ PROBES = [
     ("invert", 2, "mesh.dx", 1e-300, "true_model.grf"),
     ("invert", 1, "mesh.dz", 1e6, "survey.spacing"),
     ("invert", 2, "true_model.grf.len_z", 1e6, "true_model.grf"),
+    # padding that overflows, a line that collapses onto one position and
+    # cell counts past the byte budget (refused before any allocation)
+    ("simulate", 3, "mesh.pad_factor", 1e300, "mesh.pad_factor"),
+    ("simulate", 3, "mesh.n_pad", 100000, "mesh.n_pad"),
+    ("simulate", 3, "mesh.dx", 1e300, "survey.station_sep"),
+    ("invert", 1, "mesh.nx", 100000000, "mesh.nx"),
+    ("invert", 3, "mesh.nx_core", 100000000, "mesh.nx_core"),
 ]
 
 
