@@ -19,7 +19,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from nfinv.blas import scipy_blas_one_thread
 from nfinv.errors import GeometryError, SolverError
@@ -86,15 +86,20 @@ def build_dipole_dipole_survey(line_length: float, station_sep: float,
 
 @dataclass
 class FvSystem:
-    """Assembled conductance Laplacian with a reusable factorization."""
+    """Assembled conductance Laplacian with its band Cholesky factor."""
 
     L: sp.csc_matrix
-    _lu: spla.SuperLU = field(repr=False)
+    _factor: np.ndarray = field(repr=False)  # dpbtrf's lower band factor
+    _rank: np.ndarray = field(repr=False)  # each cell's place in the band
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Direct solve; SolverError if a column misses the residual check."""
+        b = np.asarray(b, dtype=float)
+        banded = np.empty_like(b)
+        banded[self._rank] = b
         with scipy_blas_one_thread():
-            x = self._lu.solve(b)
+            x, _ = lapack.dpbtrs(self._factor, banded, lower=1)
+        x = x[self._rank]
         bn = np.maximum(np.linalg.norm(b, axis=0), 1e-300)
         res = np.linalg.norm(self.L @ x - b, axis=0)
         bad = np.count_nonzero(res > 1e-8 * bn)
@@ -129,16 +134,18 @@ def assemble_system(mesh: TensorMesh, sigma: np.ndarray) -> FvSystem:
                        minlength=len(indices))
     L = sp.csc_matrix((data, indices, indptr),
                       shape=(mesh.n_cells, mesh.n_cells))
-    # L is SPD: a symmetric minimum-degree ordering of L + L^T with
-    # diagonal pivots fills ~35% less than COLAMD with partial pivoting
-    try:
-        with scipy_blas_one_thread():
-            lu = spla.splu(L, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolverError(f"factorization failed: {exc}") from exc
-    return FvSystem(L, lu)
+    # L is SPD and, numbered along the shorter mesh side, a band matrix of
+    # half-bandwidth min(nx_full, nz_full): band Cholesky needs no ordering
+    # search and no pivoting
+    rank, slot, kd = mesh.band_pattern
+    band = np.bincount(slot, np.concatenate([g, g, -g, gb]),
+                       minlength=(kd + 1) * mesh.n_cells)
+    with scipy_blas_one_thread():
+        factor, info = lapack.dpbtrf(band.reshape(-1, kd + 1).T, lower=1,
+                                     overwrite_ab=1)
+    if info != 0:  # info > 0: that leading minor is not positive definite
+        raise SolverError(f"factorization failed: dpbtrf info {info}")
+    return FvSystem(L, factor, rank)
 
 
 def electrode_cells(mesh: TensorMesh, survey: DcrSurvey) -> np.ndarray:

@@ -360,8 +360,9 @@ def _check_cell_budget(man: dict) -> None:
     """Refuse a mesh whose per-cell arrays would exceed ``MAX_BYTES``.
 
     The network holds core cells x its widest layer; a DC predict holds
-    full-mesh cells x electrodes of pole potentials.  The error names the
-    largest cell count behind the array.
+    full-mesh cells x electrodes of pole potentials and the operator's
+    band Cholesky factor, full-mesh cells x (min(nx_full, nz_full) + 1).
+    The error names the largest cell count behind the array.
     """
     mesh, width = man["mesh"], max(layer_dims(man))
     if man["case"] in (1, 2):
@@ -372,9 +373,11 @@ def _check_cell_budget(man: dict) -> None:
         sv = man["survey"]
         n_elec = min(nx + 1, sv["line_length"] / sv["station_sep"] + 1)
         core = {"mesh.nx_core": nx, "mesh.nz_core": nz}
+        full = {**core, "mesh.n_pad": pad}
+        nx_full, nz_full = nx + 2 * pad, nz + pad
         arrays = [(core, nx * nz * width),
-                  ({**core, "mesh.n_pad": pad},
-                   (nx + 2 * pad) * (nz + pad) * n_elec)]
+                  (full, nx_full * nz_full * n_elec),
+                  (full, nx_full * nz_full * (min(nx_full, nz_full) + 1))]
     for counts, n_values in arrays:
         if 8 * n_values > MAX_BYTES:
             raise ManifestError(max(counts, key=counts.get),

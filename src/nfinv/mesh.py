@@ -137,6 +137,34 @@ class TensorMesh:
             arr.setflags(write=False)
         return out
 
+    @cached_property
+    def band_pattern(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Band form of the FV operator, built once per mesh.
+
+        Numbered z fastest when nz_full <= nx_full and x fastest otherwise,
+        every cell's neighbours lie within kd = min(nx_full, nz_full) places,
+        so L is a band matrix of half-bandwidth kd.  Returns (rank, slot,
+        kd): each cell's place in that numbering, and the flat index in
+        LAPACK's lower band storage (kd + 1 rows by n_cells columns,
+        column-major) of the entries (fi, fi), (fj, fj), the lower one of
+        (fi, fj) and (fj, fi) over the interior faces, then (bc, bc) over
+        the boundary faces.
+        """
+        nx, nz = self.nx_full, self.nz_full
+        kd = min(nx, nz)
+        idx = np.arange(self.n_cells).reshape(nz, nx)
+        rank = np.empty(self.n_cells, dtype=np.intp)
+        rank[(idx.T if nz <= nx else idx).ravel()] = np.arange(self.n_cells)
+        fi, fj, *_, bc, _, _ = self.faces
+        ri, rj, rb = rank[fi], rank[fj], rank[bc]
+        # entry (r, c), r >= c, is row r - c of band column c
+        row = np.concatenate([ri, rj, np.maximum(ri, rj), rb])
+        col = np.concatenate([ri, rj, np.minimum(ri, rj), rb])
+        slot = col * (kd + 1) + (row - col)
+        for arr in (rank, slot):
+            arr.setflags(write=False)
+        return rank, slot, kd
+
     @property
     def core_x_extent(self) -> tuple[float, float]:
         """(left, right) of the core region in meters."""

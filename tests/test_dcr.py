@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from nfinv import dcr
 from nfinv.dcr import (
@@ -569,11 +570,13 @@ def coo_operator(mesh, sigma):
                          shape=(mesh.n_cells, mesh.n_cells)).tocsc()
 
 
-def colamd_system(mesh, sigma):
-    """The COO-built operator factored with SuperLU's defaults (COLAMD
-    ordering, partial pivoting)."""
-    L = coo_operator(mesh, sigma)
-    return FvSystem(L, spla.splu(L))
+class ColamdSystem:
+    """The COO-built operator factored by SuperLU with its defaults (COLAMD
+    ordering, partial pivoting): a reference independent of FvSystem."""
+
+    def __init__(self, mesh, sigma):
+        self.L = coo_operator(mesh, sigma)
+        self.solve = spla.splu(self.L).solve
 
 
 def desk_case3_truth():
@@ -599,13 +602,49 @@ def test_pattern_operator_equals_coo_operator(args):
         <= 1e-15 * np.max(np.abs(ref.data))
 
 
-def test_minimum_degree_fills_less_than_colamd():
+def test_band_ordering_has_bandwidth_30_on_desk_case3():
     mesh, _, _, sigma = desk_case3_truth()
-    lu = assemble_system(mesh, sigma)._lu
-    ref = colamd_system(mesh, sigma)._lu
-    fill, colamd_fill = lu.L.nnz + lu.U.nnz, ref.L.nnz + ref.U.nnz
-    assert colamd_fill == 140014
-    assert fill < 0.7 * colamd_fill
+    rank, _, kd = mesh.band_pattern
+    assert (mesh.nx_full, mesh.nz_full, kd) == (112, 30, 30)
+    # numbered z fastest, the operator's nonzeros lie within kd places
+    L = assemble_system(mesh, sigma).L.tocoo()
+    assert np.max(np.abs(rank[L.row] - rank[L.col])) == kd
+
+
+def test_deep_mesh_is_numbered_x_fastest():
+    mesh = build_dcr_mesh(4, 20, 5.0, 5.0, 2, 1.5)  # 8 x 22 cells
+    rank, _, kd = mesh.band_pattern
+    assert kd == mesh.nx_full == 8
+    assert np.array_equal(rank, np.arange(mesh.n_cells))
+    sigma = 10.0 ** np.random.default_rng(24).uniform(-3, -1, mesh.n_cells)
+    system = assemble_system(mesh, sigma)
+    L = system.L.tocoo()
+    assert np.max(np.abs(rank[L.row] - rank[L.col])) == kd
+    b = np.random.default_rng(25).normal(size=(mesh.n_cells, 3))
+    ref = ColamdSystem(mesh, sigma).solve(b)
+    assert np.max(np.abs(system.solve(b) - ref)) \
+        <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_one_cell_mesh_solves():
+    mesh = build_dcr_mesh(1, 1, 5.0, 5.0, 0, 1.5)
+    system = assemble_system(mesh, np.array([0.01]))
+    x = system.solve(np.array([2.0]))
+    assert np.allclose(x, 2.0 / system.L.toarray()[0, 0], rtol=1e-14)
+
+
+def test_non_positive_definite_band_raises(monkeypatch):
+    mesh, _ = desk_case3()
+    dpbtrf = dcr.lapack.dpbtrf
+
+    def negated_diagonal(ab, **kwargs):
+        ab[0, 5] = -ab[0, 5]  # the diagonal of the sixth cell in the band
+        return dpbtrf(ab, **kwargs)
+
+    monkeypatch.setattr(dcr.lapack, "dpbtrf", negated_diagonal)
+    with pytest.raises(SolverError,
+                       match=r"factorization failed: dpbtrf info 6$"):
+        assemble_system(mesh, np.full(mesh.n_cells, 0.01))
 
 
 @pytest.mark.parametrize("which", ["desk", "unpadded"])
@@ -616,7 +655,7 @@ def test_predict_matches_colamd_reference(which, monkeypatch):
         mesh, survey = build_dcr_mesh(20, 8, 5.0, 5.0, 0, 1.5), small_survey()
         m = np.random.default_rng(22).uniform(-3, -1, mesh.n_active)
     d = DcrSimulator(mesh, survey, background_sigma=0.01).predict(m)
-    monkeypatch.setattr(dcr, "assemble_system", colamd_system)
+    monkeypatch.setattr(dcr, "assemble_system", ColamdSystem)
     ref = DcrSimulator(mesh, survey, background_sigma=0.01).predict(m)
     assert np.max(np.abs(d - ref) / np.abs(ref)) < 1e-12
 
@@ -636,18 +675,17 @@ def test_wide_conductivity_range_passes_residual_check():
 
 # ---------------------------------------------- direct-solve health
 
-def test_direct_solve_above_residual_raises():
+def test_direct_solve_above_residual_raises(monkeypatch):
     mesh, _ = desk_case3()
     system = assemble_system(mesh, np.full(mesh.n_cells, 0.01))
-    lu = system._lu
+    dpbtrs = dcr.lapack.dpbtrs
 
-    class Perturbed:
-        def solve(self, b):
-            x = lu.solve(b)
-            x[:, 1] *= 1.0 + 1e-4
-            return x
+    def perturbed(*args, **kwargs):
+        x, info = dpbtrs(*args, **kwargs)
+        x[:, 1] *= 1.0 + 1e-4
+        return x, info
 
-    system._lu = Perturbed()
+    monkeypatch.setattr(dcr.lapack, "dpbtrs", perturbed)
     b = np.random.default_rng(19).normal(size=(mesh.n_cells, 3))
     with pytest.raises(SolverError, match=r"1 column\(s\) above the 1e-8 "
                                           r"relative residual \(worst \d"):
@@ -676,21 +714,20 @@ def test_direct_solve_restores_scipy_blas_pool(scipy_blas, monkeypatch):
 
     inside = []
 
-    class Failing:
-        def solve(self, b):
-            inside.append(scipy_blas.scipy_openblas_get_num_threads())
-            raise RuntimeError("solve failed")
+    def failing_solve(*args, **kwargs):
+        inside.append(scipy_blas.scipy_openblas_get_num_threads())
+        raise RuntimeError("solve failed")
 
-    system._lu = Failing()
+    monkeypatch.setattr(dcr.lapack, "dpbtrs", failing_solve)
     with pytest.raises(RuntimeError, match="solve failed"):
         system.solve(np.ones(mesh.n_cells))
     assert scipy_blas.scipy_openblas_get_num_threads() == 2
 
-    def failing_splu(A, **kwargs):
+    def failing_factor(ab, **kwargs):
         inside.append(scipy_blas.scipy_openblas_get_num_threads())
-        raise RuntimeError("Factor is exactly singular")
+        return ab, 7  # the leading minor of order 7 is not positive definite
 
-    monkeypatch.setattr(dcr.spla, "splu", failing_splu)
+    monkeypatch.setattr(dcr.lapack, "dpbtrf", failing_factor)
     with pytest.raises(SolverError, match="factorization failed"):
         assemble_system(mesh, np.full(mesh.n_cells, 0.01))
     assert scipy_blas.scipy_openblas_get_num_threads() == 2
@@ -702,4 +739,9 @@ def test_guarded_solve_equals_unguarded(scipy_blas):
     rng = np.random.default_rng(20)
     system = assemble_system(mesh, 10.0 ** rng.normal(-2.0, 0.3, mesh.n_cells))
     b = rng.normal(size=(mesh.n_cells, 16))
-    assert np.array_equal(system.solve(b), system._lu.solve(b))
+    rank = mesh.band_pattern[0]
+    banded = np.empty_like(b)
+    banded[rank] = b
+    x, info = lapack.dpbtrs(system._factor, banded, lower=1)
+    assert info == 0
+    assert np.array_equal(system.solve(b), x[rank])

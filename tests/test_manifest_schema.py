@@ -98,6 +98,8 @@ PROBES = [
     ("simulate", 3, "mesh.dx", 1e300, "survey.station_sep"),
     ("invert", 1, "mesh.nx", 100000000, "mesh.nx"),
     ("invert", 3, "mesh.nx_core", 100000000, "mesh.nx_core"),
+    # a deep mesh whose band factor alone exceeds the byte budget
+    ("simulate", 3, "mesh.nz_core", 200000, "mesh.nz_core"),
 ]
 
 
