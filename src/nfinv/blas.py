@@ -2,10 +2,11 @@
 
 numpy and scipy wheels each bundle an OpenBLAS with its own pool of
 nproc threads.  Code that alternates many small scipy BLAS calls with
-numpy's large GEMMs (the DC band Cholesky, ARPACK's Lanczos steps) wakes
-scipy's workers while numpy's are still spinning, which oversubscribes
-the cores.  ``scipy_blas_one_thread`` runs scipy's pool at one thread
-around such a block; numpy's pool is left alone.
+numpy's large GEMMs (ARPACK's Lanczos steps between the network's
+Jacobian products) wakes scipy's workers while numpy's are still
+spinning, which oversubscribes the cores.  ``scipy_blas_one_thread``
+runs scipy's pool at one thread around such a block; numpy's pool is
+left alone.
 """
 
 from __future__ import annotations
@@ -42,12 +43,10 @@ def scipy_openblas() -> ctypes.CDLL | None:
 def scipy_blas_one_thread():
     """Run scipy's OpenBLAS at one thread inside the block.
 
-    In a full-scale DC network inversion on 2 cores a sparse LU solve
-    (SuperLU, before the band Cholesky replaced it) took 75-101 ms on the
-    shared pools and 29-32 ms with scipy's at one thread; after ARPACK on
-    the shared pools, the next network ``rmatmat`` took 128-188 ms
-    against 75-93 ms run alone.  The saved pool size is restored on exit;
-    where scipy's OpenBLAS is not found the block runs unchanged.
+    On ``tomo-nfs`` (2 cores), after ARPACK on the shared pools the next
+    network ``rmatmat`` took 128-188 ms against 75-93 ms run alone.  The
+    saved pool size is restored on exit; where scipy's OpenBLAS is not
+    found the block runs unchanged.
     """
     lib = scipy_openblas()
     if lib is None:

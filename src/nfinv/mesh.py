@@ -117,27 +117,6 @@ class TensorMesh:
         return out
 
     @cached_property
-    def fv_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSC pattern of the FV operator, built once per mesh.
-
-        Returns (indices, indptr, slot): the sorted CSC row indices and
-        column pointers of L, and the data slot of each of its COO entries,
-        taken in the order (fi, fi), (fj, fj), (fi, fj), (fj, fi) over the
-        interior faces, then (bc, bc) over the boundary faces.
-        """
-        fi, fj, *_, bc, _, _ = self.faces
-        rows = np.concatenate([fi, fj, fi, fj, bc])
-        cols = np.concatenate([fi, fj, fj, fi, bc])
-        keys, slot = np.unique(cols * self.n_cells + rows, return_inverse=True)
-        indices = (keys % self.n_cells).astype(np.int32)
-        indptr = np.searchsorted(keys // self.n_cells,
-                                 np.arange(self.n_cells + 1)).astype(np.int32)
-        out = (indices, indptr, slot)
-        for arr in out:
-            arr.setflags(write=False)
-        return out
-
-    @cached_property
     def band_pattern(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Band form of the FV operator, built once per mesh.
 

@@ -39,6 +39,12 @@ def predict_uniform(mesh, survey, sigma):
     return sim, sim.predict(np.full(mesh.n_active, np.log10(sigma)))
 
 
+def mesh_order_operator(mesh, system):
+    """The system's L, held in band order, permuted back to mesh order."""
+    rank = mesh.band_pattern[0]
+    return system.L.tocsr()[rank][:, rank].tocsc()
+
+
 class TestSurveyEnumeration:
     def test_paper_line_348_data(self):
         survey = build_dipole_dipole_survey(700.0, 25.0, 24)
@@ -72,10 +78,10 @@ class TestAssembly:
     def test_uniform_interior_stencil(self):
         mesh = small_mesh()
         sigma = np.full(mesh.n_cells, 0.02)
-        system = assemble_system(mesh, sigma)
+        L = mesh_order_operator(mesh, assemble_system(mesh, sigma))
         # interior core cell away from padding: uniform 5 m cells
         c = 3 * mesh.nx_full + mesh.n_pad + 10
-        row = system.L[c].toarray().ravel()
+        row = L[c].toarray().ravel()
         # four neighbors at sigma * (face area / center distance) = 0.02*5/5
         neighbors = [c - 1, c + 1, c - mesh.nx_full, c + mesh.nx_full]
         assert np.allclose(row[neighbors], -0.02)
@@ -84,18 +90,18 @@ class TestAssembly:
     def test_symmetry_exact(self):
         mesh = small_mesh()
         sigma = np.random.default_rng(0).uniform(1e-3, 1.0, mesh.n_cells)
-        system = assemble_system(mesh, sigma)
-        diff = (system.L - system.L.T).toarray()
+        L = mesh_order_operator(mesh, assemble_system(mesh, sigma))
+        diff = (L - L.T).toarray()
         assert np.max(np.abs(diff)) == 0.0
 
     def test_positive_definite_probe(self):
         mesh = small_mesh()
         sigma = np.random.default_rng(1).uniform(1e-3, 1.0, mesh.n_cells)
-        system = assemble_system(mesh, sigma)
+        L = mesh_order_operator(mesh, assemble_system(mesh, sigma))
         rng = np.random.default_rng(2)
         for _ in range(5):
             v = rng.normal(size=mesh.n_cells)
-            assert v @ (system.L @ v) > 0.0
+            assert v @ (L @ v) > 0.0
 
     def test_rejects_nonpositive_sigma(self):
         mesh = small_mesh()
@@ -104,13 +110,21 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_system(mesh, sigma)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_sigma(self, bad):
+        mesh = small_mesh()
+        sigma = np.full(mesh.n_cells, 0.01)
+        sigma[17] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            assemble_system(mesh, sigma)
+
     def test_offdiag_sign_structure(self):
         mesh = small_mesh()
-        system = assemble_system(mesh, np.full(mesh.n_cells, 0.1))
-        L = system.L.tocoo()
+        L = mesh_order_operator(
+            mesh, assemble_system(mesh, np.full(mesh.n_cells, 0.1))).tocoo()
         off = L.data[L.row != L.col]
         assert np.all(off < 0)
-        assert np.all(system.L.diagonal() > 0)
+        assert np.all(L.diagonal() > 0)
 
 
 class TestAnalyticOracle:
@@ -559,7 +573,7 @@ def test_indexed_csv_matches_datum_loop(tmp_path, which):
 # ------------------------------------- factorization of the SPD operator
 
 def coo_operator(mesh, sigma):
-    """L built COO -> CSC from the faces, without the per-mesh pattern."""
+    """L built COO -> CSC from the faces in mesh order, without the band."""
     fi, fj, *_, bc, b_area, b_dist = mesh.faces
     g = dcr._face_conductance(mesh, sigma)
     gb = b_area * sigma[bc] / b_dist
@@ -588,14 +602,20 @@ def desk_case3_truth():
 
 @pytest.mark.parametrize("args", [(100, 24, 5.0, 5.0, 6, 1.5),
                                   (20, 8, 5.0, 5.0, 0, 1.5),
-                                  (1, 1, 5.0, 5.0, 0, 1.5)],
-                         ids=["desk", "unpadded", "one_cell"])
+                                  (1, 1, 5.0, 5.0, 0, 1.5),
+                                  (1, 5, 5.0, 5.0, 0, 1.5),
+                                  (7, 1, 5.0, 5.0, 0, 1.5)],
+                         ids=["desk", "unpadded", "one_cell", "one_column",
+                              "one_row"])
 def test_pattern_operator_equals_coo_operator(args):
     mesh = build_dcr_mesh(*args)
     sigma = 10.0 ** np.random.default_rng(21).uniform(-4, 2, mesh.n_cells)
-    L = assemble_system(mesh, sigma).L
+    system = assemble_system(mesh, sigma)
+    kd = mesh.band_pattern[2]
+    assert system.L.format == "dia"
+    assert set(system.L.offsets) == {0, 1, -1, kd, -kd}
+    L = mesh_order_operator(mesh, system)
     ref = coo_operator(mesh, sigma)
-    assert L.format == "csc"
     assert np.array_equal(L.indptr, ref.indptr)
     assert np.array_equal(L.indices, ref.indices)
     assert np.max(np.abs(L.data - ref.data)) \
@@ -607,7 +627,7 @@ def test_band_ordering_has_bandwidth_30_on_desk_case3():
     rank, _, kd = mesh.band_pattern
     assert (mesh.nx_full, mesh.nz_full, kd) == (112, 30, 30)
     # numbered z fastest, the operator's nonzeros lie within kd places
-    L = assemble_system(mesh, sigma).L.tocoo()
+    L = mesh_order_operator(mesh, assemble_system(mesh, sigma)).tocoo()
     assert np.max(np.abs(rank[L.row] - rank[L.col])) == kd
 
 
@@ -618,7 +638,7 @@ def test_deep_mesh_is_numbered_x_fastest():
     assert np.array_equal(rank, np.arange(mesh.n_cells))
     sigma = 10.0 ** np.random.default_rng(24).uniform(-3, -1, mesh.n_cells)
     system = assemble_system(mesh, sigma)
-    L = system.L.tocoo()
+    L = mesh_order_operator(mesh, system).tocoo()
     assert np.max(np.abs(rank[L.row] - rank[L.col])) == kd
     b = np.random.default_rng(25).normal(size=(mesh.n_cells, 3))
     ref = ColamdSystem(mesh, sigma).solve(b)
@@ -692,6 +712,15 @@ def test_direct_solve_above_residual_raises(monkeypatch):
         system.solve(b)
 
 
+def test_direct_solve_nan_rhs_raises():
+    mesh, _ = desk_case3()
+    system = assemble_system(mesh, np.full(mesh.n_cells, 0.01))
+    b = np.ones((mesh.n_cells, 3))
+    b[7, 1] = np.nan
+    with pytest.raises(SolverError, match=r"1 column\(s\) above the 1e-8"):
+        system.solve(b)
+
+
 def test_predict_rejects_nonpositive_conductivity():
     mesh, survey = desk_case3()
     sim = DcrSimulator(mesh, survey, background_sigma=0.01)
@@ -706,35 +735,7 @@ def test_predict_rejects_nonpositive_conductivity():
         sim.predict(m)
 
 
-def test_direct_solve_restores_scipy_blas_pool(scipy_blas, monkeypatch):
-    mesh, _ = desk_case3()
-    system = assemble_system(mesh, np.full(mesh.n_cells, 0.01))
-    system.solve(np.ones((mesh.n_cells, 4)))
-    assert scipy_blas.scipy_openblas_get_num_threads() == 2
-
-    inside = []
-
-    def failing_solve(*args, **kwargs):
-        inside.append(scipy_blas.scipy_openblas_get_num_threads())
-        raise RuntimeError("solve failed")
-
-    monkeypatch.setattr(dcr.lapack, "dpbtrs", failing_solve)
-    with pytest.raises(RuntimeError, match="solve failed"):
-        system.solve(np.ones(mesh.n_cells))
-    assert scipy_blas.scipy_openblas_get_num_threads() == 2
-
-    def failing_factor(ab, **kwargs):
-        inside.append(scipy_blas.scipy_openblas_get_num_threads())
-        return ab, 7  # the leading minor of order 7 is not positive definite
-
-    monkeypatch.setattr(dcr.lapack, "dpbtrf", failing_factor)
-    with pytest.raises(SolverError, match="factorization failed"):
-        assemble_system(mesh, np.full(mesh.n_cells, 0.01))
-    assert scipy_blas.scipy_openblas_get_num_threads() == 2
-    assert inside == [1, 1]
-
-
-def test_guarded_solve_equals_unguarded(scipy_blas):
+def test_solve_equals_raw_dpbtrs():
     mesh, _ = desk_case3()
     rng = np.random.default_rng(20)
     system = assemble_system(mesh, 10.0 ** rng.normal(-2.0, 0.3, mesh.n_cells))
