@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from nfinv.blas import numpy_blas_one_thread
 from nfinv.errors import SolverError
 from nfinv.neural_field import (JacobianOperator, Mlp, forward, get_weights,
                                 save_checkpoint, set_weights)
@@ -305,6 +306,7 @@ def _power_iteration_step(hv, n: int) -> float:
     return max(lam, 1e-300)
 
 
+@numpy_blas_one_thread()
 def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
                         reg: Regularization | None = None,
                         optimizer: str = "gradient_descent", *,
@@ -343,6 +345,10 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
     is no interpolation toward the target.  ``misfit_history[k]`` is the
     misfit after k accepted steps, so ``max_iterations=k`` reproduces that
     iterate as the final model.
+
+    The run holds numpy's BLAS pool at one thread (``numpy_blas_one_thread``):
+    its products are small, and numpy's worker, once woken, would spin on
+    the core that the DC layer splits its solve and Jacobian over.
     """
     if optimizer not in ("gradient_descent", "gauss_newton"):
         raise ValueError(f"unknown optimizer {optimizer!r}")

@@ -3,13 +3,23 @@ import pytest
 from nfinv import blas
 
 
+def _pool_at_two_threads(lib, name):
+    """``lib`` with its pool at 2 threads for the test, then as it was."""
+    if lib is None:
+        pytest.skip(f"{name}'s bundled OpenBLAS not found")
+    n = lib.pool_size()
+    lib.set_pool_size(2)
+    yield lib
+    lib.set_pool_size(n)
+
+
 @pytest.fixture
 def scipy_blas():
     """scipy's OpenBLAS with its pool at 2 threads for the test."""
-    lib = blas.scipy_openblas()
-    if lib is None:
-        pytest.skip("scipy's bundled OpenBLAS not found")
-    n = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(2)
-    yield lib
-    lib.scipy_openblas_set_num_threads(n)
+    yield from _pool_at_two_threads(blas.scipy_openblas(), "scipy")
+
+
+@pytest.fixture
+def numpy_blas():
+    """numpy's OpenBLAS with its pool at 2 threads for the test."""
+    yield from _pool_at_two_threads(blas.numpy_openblas(), "numpy")

@@ -1,4 +1,6 @@
 import csv
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -698,15 +700,18 @@ def test_wide_conductivity_range_passes_residual_check():
 def test_direct_solve_above_residual_raises(monkeypatch):
     mesh, _ = desk_case3()
     system = assemble_system(mesh, np.full(mesh.n_cells, 0.01))
-    dpbtrs = dcr.lapack.dpbtrs
-
-    def perturbed(*args, **kwargs):
-        x, info = dpbtrs(*args, **kwargs)
-        x[:, 1] *= 1.0 + 1e-4
-        return x, info
-
-    monkeypatch.setattr(dcr.lapack, "dpbtrs", perturbed)
     b = np.random.default_rng(19).normal(size=(mesh.n_cells, 3))
+    dpbtrs = dcr._dpbtrs
+
+    def perturbed(factor, x):
+        # column 1 of b, whichever block of columns it was solved in
+        hit = np.isclose(np.linalg.norm(x, axis=0), np.linalg.norm(b[:, 1]),
+                         rtol=1e-12, atol=0.0)
+        info = dpbtrs(factor, x)
+        x[:, hit] *= 1.0 + 1e-4
+        return info
+
+    monkeypatch.setattr(dcr, "_dpbtrs", perturbed)
     with pytest.raises(SolverError, match=r"1 column\(s\) above the 1e-8 "
                                           r"relative residual \(worst \d"):
         system.solve(b)
@@ -735,14 +740,163 @@ def test_predict_rejects_nonpositive_conductivity():
         sim.predict(m)
 
 
+def raw_dpbtrs_solve(system, b):
+    """f2py's dpbtrs on all columns at once, permuted to band order and
+    back: the serial solve that the column split must reproduce."""
+    rank = system._rank
+    banded = np.empty_like(b)
+    banded[rank] = b
+    x, info = lapack.dpbtrs(system._factor, banded, lower=1)
+    assert info == 0
+    return x[rank]
+
+
 def test_solve_equals_raw_dpbtrs():
     mesh, _ = desk_case3()
     rng = np.random.default_rng(20)
     system = assemble_system(mesh, 10.0 ** rng.normal(-2.0, 0.3, mesh.n_cells))
     b = rng.normal(size=(mesh.n_cells, 16))
-    rank = mesh.band_pattern[0]
-    banded = np.empty_like(b)
-    banded[rank] = b
-    x, info = lapack.dpbtrs(system._factor, banded, lower=1)
-    assert info == 0
-    assert np.array_equal(system.solve(b), x[rank])
+    assert np.array_equal(system.solve(b), raw_dpbtrs_solve(system, b))
+
+
+@pytest.mark.parametrize("path", ["ctypes", "f2py"])
+@pytest.mark.parametrize("cols", [None, 1, 2, 15, 29])
+def test_split_solve_equals_raw_dpbtrs(cols, path, monkeypatch):
+    # None: a 1-D right-hand side
+    if path == "f2py":
+        monkeypatch.setattr(dcr, "_dpbtrs_ctypes", lambda: None)
+    elif dcr._dpbtrs_ctypes() is None:
+        pytest.skip("scipy's bundled OpenBLAS not found")
+    mesh, _ = desk_case3()
+    rng = np.random.default_rng(20)
+    system = assemble_system(mesh, 10.0 ** rng.normal(-2.0, 0.3, mesh.n_cells))
+    b = rng.normal(size=mesh.n_cells if cols is None else (mesh.n_cells, cols))
+    x = system.solve(b)
+    assert x.shape == b.shape and x.flags.c_contiguous
+    assert np.array_equal(x, raw_dpbtrs_solve(system, b))
+
+
+def test_one_core_solves_serially_without_threads(monkeypatch):
+    def no_pool():
+        raise AssertionError("a worker pool was asked for")
+
+    monkeypatch.setattr(dcr, "_cores", lambda: 1)
+    monkeypatch.setattr(dcr, "_workers", no_pool)
+    before = set(threading.enumerate())
+    mesh, survey = desk_case3()
+    rng = np.random.default_rng(26)
+    system = assemble_system(mesh, 10.0 ** rng.normal(-2.0, 0.3, mesh.n_cells))
+    b = rng.normal(size=(mesh.n_cells, 15))
+    assert np.array_equal(system.solve(b), raw_dpbtrs_solve(system, b))
+    sim = DcrSimulator(mesh, survey, background_sigma=0.01)
+    sim.predict(-2.0 + rng.normal(0.0, 0.3, mesh.n_active))
+    sim.sensitivity()
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("fault", ["residual", "info"])
+def test_worker_block_failure_raises_in_caller(fault, monkeypatch):
+    mesh, _ = desk_case3()
+    system = assemble_system(mesh, np.full(mesh.n_cells, 0.01))
+    b = np.random.default_rng(27).normal(size=(mesh.n_cells, 15))
+    dpbtrs = dcr._dpbtrs
+    faulted = []
+
+    def worker_fault(factor, x):
+        info = dpbtrs(factor, x)
+        if threading.current_thread() is threading.main_thread():
+            return info
+        faulted.append(x.shape[1])
+        if fault == "info":
+            return -7
+        x[:, 0] *= 1.0 + 1e-4
+        return info
+
+    monkeypatch.setattr(dcr, "_cores", lambda: 2)
+    monkeypatch.setattr(dcr, "_dpbtrs", worker_fault)
+    want = (r"dpbtrs info -7$" if fault == "info"
+            else r"1 column\(s\) above the 1e-8 relative residual")
+    with pytest.raises(SolverError, match=want):
+        system.solve(b)
+    assert faulted == [7]  # the caller solves columns 0-7, the worker 8-14
+
+
+def test_split_under_thread_stress(monkeypatch):
+    # more worker threads than cores, switching as often as the
+    # interpreter allows: every column and row still lands in its place
+    mesh, survey = desk_case3()
+    rng = np.random.default_rng(30)
+    system = assemble_system(mesh, 10.0 ** rng.normal(-2.0, 0.3, mesh.n_cells))
+    b = rng.normal(size=(mesh.n_cells, 29))
+    sim = DcrSimulator(mesh, survey, background_sigma=0.01)
+    sim.predict(-2.0 + rng.normal(0.0, 0.3, mesh.n_active))
+    x_ref, J_ref = raw_dpbtrs_solve(system, b), sim.sensitivity()
+    dcr._workers().shutdown(wait=True)
+    dcr._workers.cache_clear()
+    monkeypatch.setattr(dcr, "_cores", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            assert np.array_equal(system.solve(b), x_ref)
+            sim._J = None
+            assert np.array_equal(sim.sensitivity(), J_ref)
+        workers = [t for t in threading.enumerate()
+                   if t.name.startswith("nfinv-dcr")]
+        assert 1 < len(workers) <= 7
+    finally:
+        sys.setswitchinterval(interval)
+        dcr._workers().shutdown(wait=True)
+        dcr._workers.cache_clear()
+
+
+@pytest.mark.parametrize("which", ["desk_dipole_dipole", "shared_reordered",
+                                   "unpadded"])
+def test_split_sensitivity_equals_serial_bitwise(which, monkeypatch):
+    # the unpadded mesh has a boundary term; the padded one skips it
+    mesh, survey = reference_case(which)
+    m = -2.0 + np.random.default_rng(28).normal(0.0, 0.3, mesh.n_active)
+    sim = DcrSimulator(mesh, survey, background_sigma=0.01)
+    sim.predict(m)
+    built = {}
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(dcr, "_cores", lambda c=cores: c)
+        sim._J = None
+        built[cores] = sim.sensitivity()
+    assert np.array_equal(built[2], built[1])
+    assert np.array_equal(built[3], built[1])
+    assert built[2].flags.c_contiguous
+
+
+def test_dipole_index():
+    survey = shared_reordered_survey()
+    index = survey.dipole_index
+    assert survey.dipole_index is index
+    abmn = survey.abmn
+    assert np.array_equal(index.dipoles[index.src], abmn[:, :2])
+    assert np.array_equal(index.dipoles[index.rx], abmn[:, 2:])
+    assert len(np.unique(index.dipoles, axis=0)) == len(index.dipoles)
+    # (5, 2) and (2, 5) are distinct: a drop's sign follows the listed order
+    assert {(5, 2), (4, 7), (6, 0)} <= set(map(tuple, index.dipoles))
+    assert index.rows == (slice(0, 3), slice(3, 5), slice(5, 8),
+                          slice(8, 9))
+    for (a, b), d in zip(survey.src_dipoles, index.rows):
+        assert np.all(abmn[d, :2] == (a, b))
+
+
+def test_source_without_receivers_adds_no_rows():
+    mesh, _ = desk_case3()
+    survey = shared_reordered_survey()
+    gapped = DcrSurvey(survey.electrode_x,
+                       survey.src_dipoles[:2] + ((1, 2),)
+                       + survey.src_dipoles[2:] + ((7, 6),),
+                       survey.rx_dipoles[:2] + ((),) + survey.rx_dipoles[2:]
+                       + ((),), survey.current)
+    assert gapped.dipole_index.rows[2] == slice(5, 5)
+    m = -2.0 + np.random.default_rng(29).normal(0.0, 0.3, mesh.n_active)
+    Js = []
+    for s in (survey, gapped):
+        sim = DcrSimulator(mesh, s, background_sigma=0.01)
+        sim.predict(m)
+        Js.append(sim.sensitivity())
+    assert np.array_equal(Js[0], Js[1])
