@@ -1,4 +1,12 @@
-"""Thread-pool control for the OpenBLAS builds bundled with numpy and scipy.
+"""The program's cores: its own worker threads, and the OpenBLAS pools
+bundled with numpy and scipy.
+
+The program splits its independent work over the cores itself
+(``_split``): the DC layer's solve columns and Jacobian rows
+(``nfinv.dcr``), the network's forward rows, and its weight gradient
+beside the backward propagation (``nfinv.neural_field``).  One pool of
+cores - 1 threads (``_workers``) serves them all.  No split cuts a sum,
+so its results do not depend on the core count.
 
 numpy and scipy wheels each bundle an OpenBLAS with its own pool of
 nproc threads.  After a call that wakes a pool, its workers spin for a
@@ -9,20 +17,68 @@ could use:
   wakes scipy's workers while numpy's are still spinning, which
   oversubscribes the cores; ``scipy_blas_one_thread`` runs scipy's pool at
   one thread around such a block;
-- ``conventional_invert``'s small numpy products wake numpy's worker,
-  which then spins on the core that the DC layer's split solve and
-  Jacobian (``nfinv.dcr``) run on; ``numpy_blas_one_thread`` runs numpy's
-  pool at one thread around it.
+- both inversion drivers run numpy's pool at one thread
+  (``numpy_blas_one_thread``): the cores go to the program's own split
+  work, and numpy's worker does not spin on them.  It also fixes the
+  bits: numpy's 2-thread ``x.T @ d`` over the cells rounds differently
+  from its 1-thread one at some row counts.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import glob
 import importlib
 import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from functools import cache
+
+import numpy as np
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@cache
+def _workers() -> ThreadPoolExecutor:
+    """The program's threads: cores - 1 of them, started on first use."""
+    return ThreadPoolExecutor(max(_cores() - 1, 1),
+                              thread_name_prefix="nfinv")
+
+
+def _split(work, edges, least: int = 1) -> None:
+    """``work(part)`` over contiguous parts of n items, one part per core.
+
+    ``edges`` holds the items' cumulative sizes (n + 1 entries from 0); the
+    parts are cut near equal shares of the total size.  Items of equal size
+    are cut into parts of ``least`` items or more.  The caller runs the
+    first part while the worker threads run the others, so with one core
+    nothing is started.  Each worker part runs in a copy of the caller's
+    context, so it keeps the caller's numpy error state (``np.errstate``
+    is a context variable).  An exception raised in any part is raised
+    here once every part has finished.
+    """
+    n = len(edges) - 1
+    k = max(min(_cores(), n // least), 1)
+    cuts = np.searchsorted(edges, edges[-1] * np.arange(k + 1) / k).tolist()
+    cuts[0], cuts[-1] = 0, n
+    parts = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])
+             if lo < hi] or [slice(0, n)]
+    futures = [_workers().submit(contextvars.copy_context().run, work, p)
+               for p in parts[1:]]
+    try:
+        work(parts[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 @cache

@@ -15,8 +15,6 @@ from __future__ import annotations
 import csv
 import ctypes
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 
@@ -24,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from nfinv.blas import scipy_openblas
+from nfinv.blas import _split, scipy_openblas
 from nfinv.errors import GeometryError, SolverError
 from nfinv.mesh import TensorMesh, embed_core
 
@@ -109,45 +107,6 @@ def build_dipole_dipole_survey(line_length: float, station_sep: float,
             src.append((i, i + 1))
             rx.append(tuple(pairs))
     return DcrSurvey(xs, tuple(src), tuple(rx), current)
-
-
-def _cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@cache
-def _workers() -> ThreadPoolExecutor:
-    """The DC layer's threads: cores - 1 of them, started on first use."""
-    return ThreadPoolExecutor(max(_cores() - 1, 1),
-                              thread_name_prefix="nfinv-dcr")
-
-
-def _split(work, edges) -> None:
-    """``work(part)`` over contiguous parts of n items, one part per core.
-
-    ``edges`` holds the items' cumulative sizes (n + 1 entries from 0); the
-    parts are cut near equal shares of the total size.  The caller runs the
-    first part while the worker threads run the others, so with one core
-    nothing is started.  An exception raised in any part is raised here
-    once every part has finished.
-    """
-    n = len(edges) - 1
-    k = max(min(_cores(), n), 1)
-    cuts = np.searchsorted(edges, edges[-1] * np.arange(k + 1) / k).tolist()
-    cuts[0], cuts[-1] = 0, n
-    parts = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])
-             if lo < hi] or [slice(0, n)]
-    futures = [_workers().submit(work, p) for p in parts[1:]]
-    try:
-        work(parts[0])
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
 
 
 @cache

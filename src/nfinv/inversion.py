@@ -183,6 +183,7 @@ class InversionResult:
         return len(self.misfit_history)
 
 
+@numpy_blas_one_thread()
 def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
                epochs: int, tau: float | None = None,
                learning_rate: float = 1e-3,
@@ -202,6 +203,13 @@ def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
     A physics failure or a non-finite misfit, at an epoch or of the final
     model, raises SolverError after the weights are saved to
     ``diagnostic.ckpt`` in ``checkpoint_dir``.
+
+    The run holds numpy's BLAS pool at one thread (``numpy_blas_one_thread``):
+    the network's forward rows and weight gradient, and the DC layer's
+    solve, are split over the cores by the program itself
+    (``nfinv.blas._split``), and numpy's worker, once woken, would spin on
+    those cores.  One thread also fixes the bits: numpy's 2-thread
+    ``x.T @ d`` over the cells rounds differently at some cell counts.
     """
     adam = Adam(mlp.param_count, learning_rate)
     w = get_weights(mlp)

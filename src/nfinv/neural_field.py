@@ -2,7 +2,11 @@
 
 The network is evaluated in double precision with plain numpy so that
 forward values, weight gradients and the full weight Jacobian are
-bit-reproducible given a seed.  All weight vectors use one fixed
+bit-reproducible given a seed.  Work is split over the cores by rows, or
+between independent products (``nfinv.blas._split``), never across a sum,
+so the bits do not depend on the core count; with numpy's BLAS pool at one
+thread, as the inversion drivers hold it, they do not depend on the pool
+either.  All weight vectors use one fixed
 flattening: for each layer in order, W.ravel() (C order, shape
 (fan_in, fan_out)) followed by the bias.
 """
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nfinv import blas
 from nfinv.errors import MAX_BYTES, CapacityError
 
 OUTPUT_ACTIVATIONS = ("tanh", "sigmoid", "relu", "none")
@@ -119,6 +124,16 @@ def _head(raw: np.ndarray, kind: str):
 
 # bytes of one cell block's temporary in matmat / rmatmat / gram
 _BLOCK_BYTES = 4 * 2 ** 20
+# rows of one chunk of the elementwise passes of the forward and backward
+# sweeps: a chunk's temporaries stay in cache, and a whole layer's would
+# add an (n_cells, width) array to the peak memory
+_CHUNK_ROWS = 256
+
+
+def _chunks(part: slice) -> list[slice]:
+    """The rows of ``part`` in chunks of at most _CHUNK_ROWS."""
+    return [slice(lo, min(lo + _CHUNK_ROWS, part.stop))
+            for lo in range(part.start, part.stop, _CHUNK_ROWS)]
 
 
 class JacobianOperator:
@@ -143,14 +158,36 @@ class JacobianOperator:
             raise ValueError(f"Z must have shape (n, {mlp.input_dim}), "
                              f"got {x.shape}")
         self._mlp = mlp
-        self.shape = (x.shape[0], mlp.param_count)
-        self._xs = [x]
-        for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
-            a = self._xs[-1] @ w
-            a += b
-            # LeakyReLU; equals np.where(a > 0, a, slope * a) for a slope
-            # in [0, 1], which init_kaiming enforces
-            self._xs.append(np.maximum(a, mlp.hidden_slope * a, out=a))
+        n = x.shape[0]
+        self.shape = (n, mlp.param_count)
+        slope = mlp.hidden_slope
+        hidden = list(zip(mlp.weights[:-1], mlp.biases[:-1]))
+        self._xs = [x] + [np.empty((n, w.shape[1])) for w, _ in hidden]
+        # one chunk of slope * a per part; a part takes the next one
+        # (``next`` is atomic under the GIL), so no worker allocates
+        width = max((w.shape[1] for w, _ in hidden), default=0)
+        slots = iter(list(np.empty((blas._cores(), _CHUNK_ROWS * width))))
+
+        def rows(part: slice) -> None:
+            # the rows' pass through every hidden layer, into the caller's
+            # arrays; no barrier between layers
+            scaled = next(slots)
+            for (w, b), x, a in zip(hidden, self._xs, self._xs[1:]):
+                np.matmul(x[part], w, out=a[part])
+                for c in _chunks(part):
+                    ac = a[c]
+                    ac += b
+                    # LeakyReLU; equals np.where(a > 0, a, slope * a) for a
+                    # slope in [0, 1], which init_kaiming enforces
+                    t = scaled[:ac.size].reshape(ac.shape)
+                    np.multiply(ac, slope, out=t)
+                    np.maximum(ac, t, out=ac)
+
+        # numpy's BLAS runs a one-row product, and the one-column product of
+        # the output layer, as a matrix-vector product, whose rounding of a
+        # row depends on where the row block starts: every part gets two
+        # rows or more, and the output layer runs whole
+        blas._split(rows, np.arange(n + 1), least=2)
         raw = (self._xs[-1] @ mlp.weights[-1] + mlp.biases[-1])[:, 0]
         act, self._head_deriv = _head(raw, mlp.output_activation)
         self.m = mlp.output_offset + mlp.output_scale * act
@@ -164,40 +201,62 @@ class JacobianOperator:
             yield x, w, slice(pos, end), slice(end, end + w.shape[1])
             pos = end + w.shape[1]
 
-    def _sweep(self, d: np.ndarray):
-        """(X_l, W_l, weight slice, bias slice, Delta_l), last layer first.
+    def _backward(self, d: np.ndarray, grad: np.ndarray | None = None):
+        """Yield Delta_l, the sensitivities of layer l's pre-activation, last
+        layer first.
 
-        ``d`` holds the sensitivities of the raw output, shape (n_cells, 1).
+        ``d`` holds those of the raw output, shape (n_cells, 1).  Delta_{l-1}
+        is (Delta_l @ W_l.T) times the LeakyReLU derivative at X_l, which
+        the caller forms.  Given ``grad``, a worker thread writes layer l's
+        weight gradient X_l.T @ Delta_l and bias gradient (the sum over
+        cells) into it at the same time (``_split``), each over all cells,
+        so no sum is cut and the result does not depend on the core count.
         """
         layers = list(self._slices())
         slope = self._mlp.hidden_slope
-        # mask and factor buffers for the widest hidden layer, one per sweep
-        size = max((x.size for x, *_ in layers[1:]), default=0)
-        pos_buf, f_buf = np.empty(size, dtype=bool), np.empty(size)
+        width = max((x.shape[1] for x, *_ in layers[1:]), default=0)
+        mask = np.empty(_CHUNK_ROWS * width, dtype=bool)
+        factor = np.empty(_CHUNK_ROWS * width)
         for i in range(len(layers) - 1, -1, -1):
             x, w, ws, bs = layers[i]
-            yield x, w, ws, bs, d
+            yield d
+            below = []
+
+            def propagate():
+                d_in = d @ w.T
+                for c in _chunks(slice(0, len(x))):
+                    # LeakyReLU derivative: X_i > 0 exactly where the
+                    # argument of layer i - 1 was positive (slope >= 0).
+                    # The factor pos * (1 - s) + s equals np.where(x > 0,
+                    # 1.0, s) bit for bit and runs faster: for s in [0, 1],
+                    # fl(1 - s) + s rounds to 1 and 0 * (1 - s) + s = s.
+                    # x = +-0.0 and NaN get s, as with np.where.
+                    xc, dc = x[c], d_in[c]
+                    pos = mask[:xc.size].reshape(xc.shape)
+                    f = factor[:xc.size].reshape(xc.shape)
+                    np.greater(xc, 0, out=pos)
+                    np.copyto(f, pos)
+                    f *= 1.0 - slope
+                    f += slope
+                    dc *= f
+                below.append(d_in)
+
+            def gradient():
+                np.matmul(x.T, d, out=grad[ws].reshape(w.shape))
+                np.sum(d, axis=0, out=grad[bs])
+
+            # the caller runs the first task, a worker the second
+            tasks = [propagate] * (i > 0) + [gradient] * (grad is not None)
+            blas._split(lambda part: [task() for task in tasks[part]],
+                        np.arange(len(tasks) + 1))
             if i:
-                d = d @ w.T
-                # LeakyReLU derivative: X_i > 0 exactly where the argument
-                # of layer i - 1 was positive (slope >= 0).  The factor
-                # pos * (1 - s) + s equals np.where(x > 0, 1.0, s) bit for
-                # bit and runs faster: for s in [0, 1], fl(1 - s) + s
-                # rounds to 1 and 0 * (1 - s) + s = s.  x = +-0.0 and NaN
-                # get s, as with np.where.
-                pos = pos_buf[:x.size].reshape(x.shape)
-                f = f_buf[:x.size].reshape(x.shape)
-                np.greater(x, 0, out=pos)
-                np.copyto(f, pos)
-                f *= 1.0 - slope
-                f += slope
-                d *= f
+                d = below[0]
 
     def _unit_deltas(self) -> list[np.ndarray]:
         """Delta_l(1) = d(model)/d(pre-activation of layer l), all cells."""
         if self._unit is None:
             head = (self._mlp.output_scale * self._head_deriv)[:, None]
-            self._unit = [d for *_, d in self._sweep(head)][::-1]
+            self._unit = list(self._backward(head))[::-1]
         return self._unit
 
     def _blocks(self, width: int):
@@ -213,9 +272,8 @@ class JacobianOperator:
                              f"got {u.shape}")
         out = np.empty(self.shape[1])
         head = (u * self._mlp.output_scale * self._head_deriv)[:, None]
-        for x, _, ws, bs, d in self._sweep(head):
-            out[ws] = (x.T @ d).ravel()
-            out[bs] = d.sum(axis=0)
+        for _ in self._backward(head, out):
+            pass
         return out
 
     def matmat(self, v: np.ndarray) -> np.ndarray:

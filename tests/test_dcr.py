@@ -1,5 +1,4 @@
 import csv
-import sys
 import threading
 
 import numpy as np
@@ -8,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from nfinv import dcr
+from nfinv import blas, dcr
 from nfinv.dcr import (
     DcrSimulator,
     DcrSurvey,
@@ -780,8 +779,8 @@ def test_one_core_solves_serially_without_threads(monkeypatch):
     def no_pool():
         raise AssertionError("a worker pool was asked for")
 
-    monkeypatch.setattr(dcr, "_cores", lambda: 1)
-    monkeypatch.setattr(dcr, "_workers", no_pool)
+    monkeypatch.setattr(blas, "_cores", lambda: 1)
+    monkeypatch.setattr(blas, "_workers", no_pool)
     before = set(threading.enumerate())
     mesh, survey = desk_case3()
     rng = np.random.default_rng(26)
@@ -812,7 +811,7 @@ def test_worker_block_failure_raises_in_caller(fault, monkeypatch):
         x[:, 0] *= 1.0 + 1e-4
         return info
 
-    monkeypatch.setattr(dcr, "_cores", lambda: 2)
+    monkeypatch.setattr(blas, "_cores", lambda: 2)
     monkeypatch.setattr(dcr, "_dpbtrs", worker_fault)
     want = (r"dpbtrs info -7$" if fault == "info"
             else r"1 column\(s\) above the 1e-8 relative residual")
@@ -821,33 +820,24 @@ def test_worker_block_failure_raises_in_caller(fault, monkeypatch):
     assert faulted == [7]  # the caller solves columns 0-7, the worker 8-14
 
 
-def test_split_under_thread_stress(monkeypatch):
-    # more worker threads than cores, switching as often as the
-    # interpreter allows: every column and row still lands in its place
+def test_split_under_thread_stress(thread_stress, monkeypatch):
+    # every column and row still lands in its place
     mesh, survey = desk_case3()
     rng = np.random.default_rng(30)
     system = assemble_system(mesh, 10.0 ** rng.normal(-2.0, 0.3, mesh.n_cells))
     b = rng.normal(size=(mesh.n_cells, 29))
     sim = DcrSimulator(mesh, survey, background_sigma=0.01)
     sim.predict(-2.0 + rng.normal(0.0, 0.3, mesh.n_active))
-    x_ref, J_ref = raw_dpbtrs_solve(system, b), sim.sensitivity()
-    dcr._workers().shutdown(wait=True)
-    dcr._workers.cache_clear()
-    monkeypatch.setattr(dcr, "_cores", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            assert np.array_equal(system.solve(b), x_ref)
-            sim._J = None
-            assert np.array_equal(sim.sensitivity(), J_ref)
-        workers = [t for t in threading.enumerate()
-                   if t.name.startswith("nfinv-dcr")]
-        assert 1 < len(workers) <= 7
-    finally:
-        sys.setswitchinterval(interval)
-        dcr._workers().shutdown(wait=True)
-        dcr._workers.cache_clear()
+    with monkeypatch.context() as serial:
+        serial.setattr(blas, "_cores", lambda: 1)
+        x_ref, J_ref = raw_dpbtrs_solve(system, b), sim.sensitivity()
+    for _ in range(10):
+        assert np.array_equal(system.solve(b), x_ref)
+        sim._J = None
+        assert np.array_equal(sim.sensitivity(), J_ref)
+    workers = [t for t in threading.enumerate()
+               if t.name.startswith("nfinv_")]
+    assert 1 < len(workers) <= 7
 
 
 @pytest.mark.parametrize("which", ["desk_dipole_dipole", "shared_reordered",
@@ -860,7 +850,7 @@ def test_split_sensitivity_equals_serial_bitwise(which, monkeypatch):
     sim.predict(m)
     built = {}
     for cores in (1, 2, 3):
-        monkeypatch.setattr(dcr, "_cores", lambda c=cores: c)
+        monkeypatch.setattr(blas, "_cores", lambda c=cores: c)
         sim._J = None
         built[cores] = sim.sensitivity()
     assert np.array_equal(built[2], built[1])

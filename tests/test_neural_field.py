@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nfinv import neural_field
+from nfinv import blas, neural_field
 from nfinv.encoding import encode
 from nfinv.errors import CapacityError
 from nfinv.mesh import build_tomo_mesh, normalized_centers
@@ -22,6 +22,32 @@ from nfinv.neural_field import (
 )
 
 PAPER_HIDDEN = (128, 256, 256, 256, 256, 128)
+
+
+def plain_pass(mlp, z, u):
+    """Layer inputs, model, unit sensitivities Delta_l(1) and the weight
+    gradient of (u . m), in plain numpy in the calling thread, with
+    np.where for the LeakyReLU and its derivative (tanh head)."""
+    slope = mlp.hidden_slope
+    xs = [z]
+    for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
+        a = xs[-1] @ w + b
+        xs.append(np.where(a > 0, a, slope * a))
+    t = np.tanh((xs[-1] @ mlp.weights[-1] + mlp.biases[-1])[:, 0])
+    deriv = 1.0 - t * t
+
+    def backprop(head):
+        deltas = [head[:, None]]
+        for x, w in zip(xs[:0:-1], mlp.weights[:0:-1]):
+            d = deltas[-1] @ w.T
+            deltas.append(d * np.where(x > 0, 1.0, slope))
+        return deltas[::-1]
+
+    grad = np.concatenate([
+        part for x, d in zip(xs, backprop(u * mlp.output_scale * deriv))
+        for part in ((x.T @ d).ravel(), d.sum(axis=0))])
+    m = mlp.output_offset + mlp.output_scale * t
+    return xs, m, backprop(mlp.output_scale * deriv), grad
 
 
 class TestInit:
@@ -284,29 +310,12 @@ class TestJacobian:
         rng = np.random.default_rng(15)
         z = rng.normal(size=(40, 3))
         u = rng.normal(size=40)
-
-        xs = [z]
-        for w, b in zip(mlp.weights[:-1], mlp.biases[:-1]):
-            a = xs[-1] @ w + b
-            xs.append(np.where(a > 0, a, slope * a))
+        xs, m, unit, grad = plain_pass(mlp, z, u)
         assert all(np.any(x[:, 1] == 0.0) for x in xs[1:3])
-        t = np.tanh((xs[-1] @ mlp.weights[-1] + mlp.biases[-1])[:, 0])
-        deriv = 1.0 - t * t
-
-        def backprop(head):
-            deltas = [head[:, None]]
-            for x, w in zip(xs[:0:-1], mlp.weights[:0:-1]):
-                d = deltas[-1] @ w.T
-                deltas.append(d * np.where(x > 0, 1.0, slope))
-            return deltas[::-1]
-
         op = JacobianOperator(mlp, z)
-        unit = backprop(mlp.output_scale * deriv)
+        assert np.array_equal(op.m, m)
         assert all(np.array_equal(got, want)
                    for got, want in zip(op._unit_deltas(), unit))
-        grad = np.concatenate([
-            part for x, d in zip(xs, backprop(u * mlp.output_scale * deriv))
-            for part in ((x.T @ d).ravel(), d.sum(axis=0))])
         assert np.array_equal(op.rmatvec(u), grad)
 
     def test_jvp_vjp_adjoint_identity(self):
@@ -339,3 +348,48 @@ class TestCheckpoint:
         save_checkpoint(path, mlp)
         first = path.read_bytes().split(b"\n", 1)[0]
         assert b"layer_dims" in first
+
+
+class TestSplitPass:
+    """The forward rows, the weight gradient beside the propagation and the
+    derivative factor's rows run on several threads.  The reference is a
+    plain pass in one thread, with numpy's pool at one thread as the
+    inversion drivers hold it: at 2500 and 4097 rows numpy's 2-thread
+    X.T @ Delta rounds differently from its 1-thread one, as a cut of that
+    sum over cells would."""
+
+    ROWS = [2048, 2400, 2500, 4097]
+
+    @staticmethod
+    def case(n):
+        mlp = init_kaiming((2,) + PAPER_HIDDEN + (1,), seed=n)
+        rng = np.random.default_rng(n)
+        return mlp, rng.uniform(-1.0, 1.0, (n, 2)), rng.normal(size=n)
+
+    @staticmethod
+    def assert_equals_plain_pass(mlp, z, u, want):
+        _, m, unit, grad = want
+        op = JacobianOperator(mlp, z)
+        assert np.array_equal(op.m, m)
+        assert np.array_equal(op.rmatvec(u), grad)
+        assert all(np.array_equal(got, d)
+                   for got, d in zip(op._unit_deltas(), unit))
+
+    # 3, 5 and 7 rows over up to 3 cores: a part of one row would run as a
+    # matrix-vector product
+    @pytest.mark.parametrize("n", [3, 5, 7] + ROWS)
+    def test_any_core_count_gives_the_one_thread_bits(self, n, monkeypatch):
+        mlp, z, u = self.case(n)
+        with blas.numpy_blas_one_thread():
+            want = plain_pass(mlp, z, u)
+            for cores in (1, 2, 3):
+                monkeypatch.setattr(blas, "_cores", lambda c=cores: c)
+                self.assert_equals_plain_pass(mlp, z, u, want)
+
+    @pytest.mark.parametrize("n", ROWS)
+    def test_thread_stress_gives_the_one_thread_bits(self, n, thread_stress):
+        mlp, z, u = self.case(n)
+        with blas.numpy_blas_one_thread():
+            want = plain_pass(mlp, z, u)
+            for _ in range(2):
+                self.assert_equals_plain_pass(mlp, z, u, want)
