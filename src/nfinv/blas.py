@@ -2,26 +2,24 @@
 bundled with numpy and scipy.
 
 The program splits its independent work over the cores itself
-(``_split``): the DC layer's solve columns and Jacobian rows
-(``nfinv.dcr``), the network's forward rows, and its weight gradient
-beside the backward propagation (``nfinv.neural_field``).  One pool of
-cores - 1 threads (``_workers``) serves them all.  No split cuts a sum,
-so its results do not depend on the core count.
+(``_split``): the DC solve's columns (``nfinv.dcr``), the network's
+forward rows, and its weight gradient beside the backward propagation
+(``nfinv.neural_field``).  One pool of cores - 1 threads (``_workers``)
+serves them all.  No split cuts a sum, so its results do not depend on
+the core count.
 
 numpy and scipy wheels each bundle an OpenBLAS with its own pool of
 nproc threads.  After a call that wakes a pool, its workers spin for a
 while before they sleep, and a spinning pool holds cores that other work
-could use:
-- code that alternates many small scipy BLAS calls with numpy's large
-  GEMMs (ARPACK's Lanczos steps between the network's Jacobian products)
-  wakes scipy's workers while numpy's are still spinning, which
-  oversubscribes the cores; ``scipy_blas_one_thread`` runs scipy's pool at
-  one thread around such a block;
-- both inversion drivers run numpy's pool at one thread
-  (``numpy_blas_one_thread``): the cores go to the program's own split
-  work, and numpy's worker does not spin on them.  It also fixes the
-  bits: numpy's 2-thread ``x.T @ d`` over the cells rounds differently
-  from its 1-thread one at some row counts.
+could use.  ``one_thread(lib)`` runs a pool at one thread around a block:
+- around ARPACK in the SVD, ``one_thread(scipy_openblas())``: its small
+  scipy BLAS calls alternate with numpy's large GEMMs (the network's
+  Jacobian products) and would wake scipy's workers while numpy's are
+  still spinning, which oversubscribes the cores;
+- on both inversion drivers, ``one_thread(numpy_openblas())``: the cores
+  go to the program's own split work, and numpy's worker does not spin on
+  them.  It also fixes the bits: numpy's 2-thread ``x.T @ d`` over the
+  cells rounds differently from its 1-thread one at some row counts.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ import importlib
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import cache
-
-import numpy as np
 
 
 def _cores() -> int:
@@ -53,22 +49,19 @@ def _workers() -> ThreadPoolExecutor:
                               thread_name_prefix="nfinv")
 
 
-def _split(work, edges, least: int = 1) -> None:
+def _split(work, n: int, least: int = 1) -> None:
     """``work(part)`` over contiguous parts of n items, one part per core.
 
-    ``edges`` holds the items' cumulative sizes (n + 1 entries from 0); the
-    parts are cut near equal shares of the total size.  Items of equal size
-    are cut into parts of ``least`` items or more.  The caller runs the
-    first part while the worker threads run the others, so with one core
-    nothing is started.  Each worker part runs in a copy of the caller's
-    context, so it keeps the caller's numpy error state (``np.errstate``
-    is a context variable).  An exception raised in any part is raised
-    here once every part has finished.
+    Part i ends at item ceil(n (i + 1) / k) of k parts, each of ``least``
+    items or more.  The caller runs the first part while the worker
+    threads run the others, so with one core nothing is started.  Each
+    worker part runs in a copy of the caller's context, so it keeps the
+    caller's numpy error state (``np.errstate`` is a context variable).  An
+    exception raised in any part is raised here once every part has
+    finished.
     """
-    n = len(edges) - 1
     k = max(min(_cores(), n // least), 1)
-    cuts = np.searchsorted(edges, edges[-1] * np.arange(k + 1) / k).tolist()
-    cuts[0], cuts[-1] = 0, n
+    cuts = [-(-n * i // k) for i in range(k + 1)]
     parts = [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])
              if lo < hi] or [slice(0, n)]
     futures = [_workers().submit(contextvars.copy_context().run, work, p)
@@ -113,11 +106,16 @@ def numpy_openblas() -> ctypes.CDLL | None:
 
 
 @contextlib.contextmanager
-def _one_thread(find):
-    """Run the pool of the library ``find()`` returns at one thread inside
-    the block and restore its size on exit; where ``find()`` returns None
-    the block runs unchanged."""
-    lib = find()
+def one_thread(lib: ctypes.CDLL | None):
+    """Run ``lib``'s pool at one thread inside the block (a decorator too)
+    and restore its size on exit; with no library (None) the block runs
+    unchanged.
+
+    On ``tomo-nfs`` (2 cores), after ARPACK on the shared pools the next
+    network ``rmatmat`` took 128-188 ms against 75-93 ms with scipy's pool
+    held.  A whole ``dcr-gn`` run used 2.0 CPU-seconds per wall-second with
+    numpy's worker left spinning and ~1.0 with it held.
+    """
     if lib is None:
         yield
         return
@@ -127,21 +125,3 @@ def _one_thread(find):
         yield
     finally:
         lib.set_pool_size(n)
-
-
-def scipy_blas_one_thread():
-    """Run scipy's OpenBLAS at one thread inside the block.
-
-    On ``tomo-nfs`` (2 cores), after ARPACK on the shared pools the next
-    network ``rmatmat`` took 128-188 ms against 75-93 ms run alone.
-    """
-    return _one_thread(scipy_openblas)
-
-
-def numpy_blas_one_thread():
-    """Run numpy's OpenBLAS at one thread inside the block (a decorator too).
-
-    A whole ``dcr-gn`` run (2 cores) used 2.0 CPU-seconds per wall-second
-    with numpy's worker left spinning and ~1.0 with it held.
-    """
-    return _one_thread(numpy_openblas)

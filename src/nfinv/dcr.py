@@ -20,9 +20,9 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack, lapack
 
-from nfinv.blas import _split, scipy_openblas
+from nfinv.blas import _split
 from nfinv.errors import GeometryError, SolverError
 from nfinv.mesh import TensorMesh, embed_core
 
@@ -109,32 +109,33 @@ def build_dipole_dipole_survey(line_length: float, station_sep: float,
     return DcrSurvey(xs, tuple(src), tuple(rx), current)
 
 
+# the C API calls that read a capsule's pointer, typed here rather than on
+# the shared ``ctypes.pythonapi`` entries
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
 @cache
-def _dpbtrs_ctypes():
-    """``dpbtrs`` of scipy's bundled OpenBLAS through ctypes, or None."""
-    lib = scipy_openblas()
-    try:
-        f = lib.scipy_dpbtrs_
-    except AttributeError:  # no bundled library, or no such symbol
-        return None
+def _lapack_dpbtrs():
+    """LAPACK's ``dpbtrs`` through the pointer that scipy's cython_lapack
+    exports; a ctypes call of it releases the GIL."""
+    capsule = cython_lapack.__pyx_capi__["dpbtrs"]
     i = ctypes.POINTER(ctypes.c_int)
-    f.argtypes = [ctypes.c_char_p, i, i, i, ctypes.c_void_p, i,
-                  ctypes.c_void_p, i, i, ctypes.c_size_t]
-    f.restype = None
-    return f
+    prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, i, i, i,
+                                 ctypes.c_void_p, i, ctypes.c_void_p, i, i)
+    return prototype(_capsule_pointer(capsule, _capsule_name(capsule)))
 
 
 def _dpbtrs(factor: np.ndarray, x: np.ndarray) -> int:
     """Overwrite the F-ordered columns x with the band solve; LAPACK's info.
 
-    The ctypes call releases the GIL, so column blocks solve in parallel;
-    f2py's ``lapack.dpbtrs``, the fallback, holds it.  Both run the same
-    LAPACK routine, which solves one column at a time.
+    The call releases the GIL, so column blocks solve in parallel.  LAPACK
+    solves one column at a time, so a block's columns get the same bits as
+    in a solve of all of them at once.
     """
-    f = _dpbtrs_ctypes()
-    if f is None:
-        x[...], info = lapack.dpbtrs(factor, x, lower=1)
-        return info
     if not (factor.flags.f_contiguous and x.flags.f_contiguous
             and factor.dtype == x.dtype == np.float64):
         raise ValueError("dpbtrs takes F-ordered float64 arrays")
@@ -142,9 +143,8 @@ def _dpbtrs(factor: np.ndarray, x: np.ndarray) -> int:
     info = ctypes.c_int(0)
     n_, kd, nrhs, ldab, ldb = (ctypes.byref(ctypes.c_int(v)) for v in (
         n, ldab - 1, nrhs, ldab, max(n, 1)))
-    # the trailing 1 is the Fortran length of the string "L"
-    f(b"L", n_, kd, nrhs, factor.ctypes.data, ldab, x.ctypes.data, ldb,
-      ctypes.byref(info), 1)
+    _lapack_dpbtrs()(b"L", n_, kd, nrhs, factor.ctypes.data, ldab,
+                     x.ctypes.data, ldb, ctypes.byref(info))
     return info.value
 
 
@@ -177,7 +177,7 @@ class FvSystem:
             if info != 0:  # info < 0: an argument LAPACK refused
                 raise SolverError(f"FV direct solve: dpbtrs info {info}")
 
-        _split(solve_block, np.arange(B.shape[1] + 1))
+        _split(solve_block, B.shape[1])
         bn = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
         res = np.linalg.norm(self.L @ x - B, axis=0)
         bad = np.count_nonzero(~(res <= 1e-8 * bn))  # NaN is a miss
@@ -267,10 +267,11 @@ class DcrSimulator:
     builds it (``jvp`` is ``sensitivity() @ dm``).  Derivatives are with
     respect to active-cell log10-conductivity; padding is frozen.
 
-    The solve's column blocks and the Jacobian's source rows are
-    independent, so both are split over the cores the process may use
-    (``_split``); every entry is computed by the same arithmetic as a
-    serial build, so the split changes no bit of any result.
+    The solve's column blocks are independent, so they are split over the
+    cores the process may use (``_split``); every column is solved by the
+    same arithmetic as in a serial solve, so the split changes no bit of
+    any result.  The Jacobian is built serially: split over the cores it
+    read no faster.
     """
 
     def __init__(self, mesh: TensorMesh, survey: DcrSurvey,
@@ -380,8 +381,8 @@ class DcrSimulator:
         dipole potential drops onto cells.  Each dipole's face drops are
         formed once (``DcrSurvey.dipole_index``); the rows are formed one
         source dipole at a time, so the per-face temporaries hold only
-        that source's receivers, and the sources are split over the cores
-        (``_split``) by their row counts.
+        that source's receivers.  J is C-ordered: an F-ordered J would
+        change the rounding of every product with it.
         """
         if self.phi is None:
             raise SolverError("sensitivity requested before any predict")
@@ -397,16 +398,12 @@ class DcrSimulator:
         # padded: empty boundary term
         drops = [(p[:, a] - p[:, b], C) for p, C in terms if C.nnz]
         J = np.empty((self.survey.n_data, self.mesh.n_active))
-
-        def rows(sources: slice) -> None:
-            for d in index.rows[sources]:
-                if d.start == d.stop:
-                    continue
-                src, rx = index.src[d.start], index.rx[d]
-                J[d] = reduce(np.add, (C @ (q[:, rx] * q[:, src, None])
-                                       for q, C in drops)).T
-
-        _split(rows, [0] + [d.stop for d in index.rows])
+        for d in index.rows:
+            if d.start == d.stop:
+                continue
+            src, rx = index.src[d.start], index.rx[d]
+            J[d] = reduce(np.add, (C @ (q[:, rx] * q[:, src, None])
+                                   for q, C in drops)).T
         self._J = J
         return J
 

@@ -187,7 +187,7 @@ class JacobianOperator:
         # the output layer, as a matrix-vector product, whose rounding of a
         # row depends on where the row block starts: every part gets two
         # rows or more, and the output layer runs whole
-        blas._split(rows, np.arange(n + 1), least=2)
+        blas._split(rows, n, least=2)
         raw = (self._xs[-1] @ mlp.weights[-1] + mlp.biases[-1])[:, 0]
         act, self._head_deriv = _head(raw, mlp.output_activation)
         self.m = mlp.output_offset + mlp.output_scale * act
@@ -248,7 +248,7 @@ class JacobianOperator:
             # the caller runs the first task, a worker the second
             tasks = [propagate] * (i > 0) + [gradient] * (grad is not None)
             blas._split(lambda part: [task() for task in tasks[part]],
-                        np.arange(len(tasks) + 1))
+                        len(tasks))
             if i:
                 d = below[0]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import eigsh
 
-from nfinv.blas import scipy_blas_one_thread
+from nfinv.blas import one_thread, scipy_openblas
 from nfinv.errors import MAX_BYTES, CapacityError
 from nfinv.mesh import write_grid_csv
 from nfinv.neural_field import JacobianOperator, Mlp
@@ -80,7 +80,7 @@ def truncated_svd(J, k: int) -> SvdResult:
     v0 = np.random.default_rng(0).standard_normal(n)
     # ARPACK's small BLAS calls on scipy's pool alternate with numpy's
     # G @ v and would leave scipy's workers spinning into rmatmat
-    with scipy_blas_one_thread():
+    with one_thread(scipy_openblas()):
         Q = eigsh(G, k=k, which="LA", tol=0, v0=v0)[1]
     del G  # the n_cells^2 array; freed before the Ritz products allocate
     # Rayleigh-Ritz: sigma from Q^T J rather than sqrt of the eigenvalues,

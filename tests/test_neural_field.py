@@ -380,7 +380,7 @@ class TestSplitPass:
     @pytest.mark.parametrize("n", [3, 5, 7] + ROWS)
     def test_any_core_count_gives_the_one_thread_bits(self, n, monkeypatch):
         mlp, z, u = self.case(n)
-        with blas.numpy_blas_one_thread():
+        with blas.one_thread(blas.numpy_openblas()):
             want = plain_pass(mlp, z, u)
             for cores in (1, 2, 3):
                 monkeypatch.setattr(blas, "_cores", lambda c=cores: c)
@@ -389,7 +389,7 @@ class TestSplitPass:
     @pytest.mark.parametrize("n", ROWS)
     def test_thread_stress_gives_the_one_thread_bits(self, n, thread_stress):
         mlp, z, u = self.case(n)
-        with blas.numpy_blas_one_thread():
+        with blas.one_thread(blas.numpy_openblas()):
             want = plain_pass(mlp, z, u)
             for _ in range(2):
                 self.assert_equals_plain_pass(mlp, z, u, want)

@@ -1,10 +1,45 @@
 import hashlib
+import struct
+import zlib
 
 import numpy as np
 
 from nfinv.mesh import build_dcr_mesh, write_grid_csv
-from nfinv.render import read_png, render_heatmap, write_png
+from nfinv.render import render_heatmap, write_png
 from nfinv.scenarios import make_case3
+
+
+def read_png(path) -> tuple[np.ndarray, dict]:
+    """Decode a PNG written by ``write_png`` (filter 0 rows only)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[:8] != b"\x89PNG\r\n\x1a\n":
+        raise ValueError("not a PNG file")
+    pos = 8
+    idat = b""
+    text = {}
+    w = h = None
+    while pos < len(data):
+        (length,) = struct.unpack(">I", data[pos:pos + 4])
+        tag = data[pos + 4:pos + 8]
+        payload = data[pos + 8:pos + 8 + length]
+        if tag == b"IHDR":
+            w, h = struct.unpack(">II", payload[:8])
+        elif tag == b"IDAT":
+            idat += payload
+        elif tag == b"tEXt":
+            key, _, val = payload.partition(b"\x00")
+            text[key.decode("latin-1")] = val.decode("latin-1")
+        pos += 12 + length
+    raw = zlib.decompress(idat)
+    stride = 1 + 3 * w
+    rows = []
+    for r in range(h):
+        row = raw[r * stride:(r + 1) * stride]
+        if row[0] != 0:
+            raise ValueError("unsupported PNG filter")
+        rows.append(np.frombuffer(row[1:], dtype=np.uint8).reshape(w, 3))
+    return np.stack(rows), text
 
 
 def test_png_round_trip(tmp_path):
