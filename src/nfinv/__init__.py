@@ -29,8 +29,6 @@ from nfinv.neural_field import (
     init_kaiming,
     load_checkpoint,
     save_checkpoint,
-    vjp,
-    weight_jacobian,
 )
 from nfinv.tomo import (
     CrossholeSurvey,
@@ -113,8 +111,6 @@ __all__ = [
     "simulate_case",
     "sub_seed",
     "truncated_svd",
-    "vjp",
-    "weight_jacobian",
 ]
 
 __version__ = "0.1.0"

@@ -430,6 +430,5 @@ def write_dcr_data_csv(path, survey: DcrSurvey, data_v: np.ndarray,
         w = csv.writer(f)
         w.writerow(["A_x", "B_x", "M_x", "N_x", "dV_volts",
                     "uncertainty_volts", "rho_app_ohm_m"])
-        for row in np.column_stack([survey.electrode_x[survey.abmn], data_v,
-                                    unc, rho_app]):
-            w.writerow([repr(float(v)) for v in row])
+        w.writerows(np.column_stack([survey.electrode_x[survey.abmn],
+                                     data_v, unc, rho_app]).tolist())

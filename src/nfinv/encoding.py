@@ -62,6 +62,4 @@ def encode(coords: np.ndarray, kind: str, m: int | None = None,
 def write_b_matrix_csv(b: np.ndarray, path) -> None:
     """Dump the gaussian frequency matrix B for reproducibility audits."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        for row in b:
-            w.writerow([repr(float(v)) for v in row])
+        csv.writer(f).writerows(b.tolist())

@@ -242,9 +242,8 @@ def write_grid_csv(path, values: np.ndarray, nx: int, nz: int,
     values = np.asarray(values, dtype=float).reshape(nz, nx)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow([nx, nz, repr(float(dx)), repr(float(dz))])
-        for row in values:
-            w.writerow([repr(float(v)) for v in row])
+        w.writerow([nx, nz, float(dx), float(dz)])
+        w.writerows(values.tolist())
 
 
 def read_grid_csv(path) -> tuple[np.ndarray, int, int, float, float]:
@@ -259,7 +258,7 @@ def read_grid_csv(path) -> tuple[np.ndarray, int, int, float, float]:
         raise ValueError("the first line must be the header nx,nz,dx,dz")
     nx, nz = int(rows[0][0]), int(rows[0][1])
     dx, dz = float(rows[0][2]), float(rows[0][3])
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
+    data = np.array(rows[1:], dtype=float)
     if data.shape != (nz, nx):
         raise ValueError(f"grid body {data.shape} does not match header "
                          f"({nz} rows x {nx} cols)")

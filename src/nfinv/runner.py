@@ -3,11 +3,13 @@
 Every run directory carries a manifest echo sufficient to rerun it, data
 and model grids as CSV, rendered heatmaps, per-epoch histories and a
 machine-readable metrics file.  All CSV outputs are byte-deterministic
-for a given manifest; wall-clock timings appear only in metrics.json.
+for a given manifest, host and numpy BLAS pool size (the ``svd/`` exports
+depend on the pool); wall-clock timings appear only in metrics.json.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from dataclasses import dataclass
@@ -152,12 +154,13 @@ def _write_model_grid(mesh: TensorMesh, values: np.ndarray, out_dir: str,
 
 def _write_histories(result, out_dir: str) -> None:
     # wall clock deliberately excluded: CSVs must be byte-deterministic
-    with open(os.path.join(out_dir, "histories.csv"), "w") as f:
-        f.write("epoch,misfit,beta,reg\n")
-        for i in range(result.n_epochs):
-            f.write(f"{i + 1},{float(result.misfit_history[i])!r},"
-                    f"{float(result.beta_history[i])!r},"
-                    f"{float(result.reg_history[i])!r}\n")
+    with open(os.path.join(out_dir, "histories.csv"), "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["epoch", "misfit", "beta", "reg"])
+        w.writerows(zip(range(1, result.n_epochs + 1),
+                        result.misfit_history.tolist(),
+                        result.beta_history.tolist(),
+                        result.reg_history.tolist()))
 
 
 def _build_regularization(cfg: dict, mesh: TensorMesh) -> Regularization:

@@ -12,6 +12,7 @@ fits the byte budget.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from dataclasses import dataclass
@@ -105,10 +106,11 @@ def analyze_trained_network(mlp: Mlp, Z, k: int, grid_shape: tuple[int, int],
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "spectrum.csv"), "w") as f:
-            f.write("index,singular_value\n")
-            for i, v in enumerate(result.values):
-                f.write(f"{i},{float(v)!r}\n")
+        with open(os.path.join(out_dir, "spectrum.csv"), "w",
+                  newline="") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(["index", "singular_value"])
+            w.writerows(enumerate(result.values.tolist()))
         from nfinv.render import render_heatmap
         for i in range(result.k):
             grid = result.U[:, i]

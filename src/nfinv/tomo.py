@@ -152,14 +152,12 @@ def write_tomo_data_csv(path, survey: CrossholeSurvey, t_obs_s: np.ndarray,
     """Columns: src_x, src_z, rx_x, rx_z, t_obs_ms, uncertainty_ms."""
     t_ms = np.asarray(t_obs_s) * 1e3
     u_ms = np.broadcast_to(np.asarray(uncertainty_s) * 1e3, t_ms.shape)
+    n_src, n_rx = len(survey.src_positions), len(survey.rx_positions)
+    table = np.column_stack([
+        np.repeat(survey.src_positions, n_rx, axis=0),
+        np.tile(survey.rx_positions, (n_src, 1)), t_ms, u_ms])
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["src_x", "src_z", "rx_x", "rx_z", "t_obs_ms",
                     "uncertainty_ms"])
-        i = 0
-        for sx, sz in survey.src_positions:
-            for rx, rz in survey.rx_positions:
-                w.writerow([repr(float(sx)), repr(float(sz)),
-                            repr(float(rx)), repr(float(rz)),
-                            repr(float(t_ms[i])), repr(float(u_ms[i]))])
-                i += 1
+        w.writerows(table.tolist())

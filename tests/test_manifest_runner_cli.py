@@ -191,14 +191,23 @@ class TestRunner:
         svd_dir = tmp_path / "run" / "svd"
         assert (svd_dir / "spectrum.csv").exists()
         assert (svd_dir / "u_000.png").exists()
-        # every field of the histories and the spectrum reads as a number
+        # every field of the histories and the spectrum reads as a number,
+        # and their lines end with \n alone
         for path in (tmp_path / "run" / "histories.csv",
                      svd_dir / "spectrum.csv"):
+            assert b"\r" not in path.read_bytes()
             rows = path.read_text().splitlines()[1:]
             assert rows
             for row in rows:
                 for field in row.split(","):
                     float(field)
+        # the grid and data tables end every line with \r\n
+        for path in (tmp_path / "run" / "recovered.csv",
+                     tmp_path / "run" / "data_obs.csv",
+                     svd_dir / "u_000.csv"):
+            body = path.read_bytes()
+            assert body.endswith(b"\r\n")
+            assert body.count(b"\n") == body.count(b"\r\n")
 
     def test_checkpoints_replay_histories(self, tmp_path):
         man = tiny_case1(epochs=5)
@@ -458,6 +467,7 @@ class TestCli:
           "--out", "g.png"], "--vmax"),
         (["render", "--grid", "g.csv", "--vmin", "2", "--vmax", "2",
           "--out", "g.png"], "--vmax"),
+        (["render", "--grid", "short.csv", "--out", "g.png"], "--grid"),
     ])
     def test_bad_paths_and_options_exit_2(self, tmp_path, monkeypatch,
                                           capsys, argv, option):
@@ -466,6 +476,7 @@ class TestCli:
         write_grid_csv("g.csv", np.arange(6.0), nx=3, nz=2, dx=1.0, dz=1.0)
         (tmp_path / "words.csv").write_text("nx,nz,dx,dz\n1,2,3\n")
         (tmp_path / "nan.csv").write_text("2,1,1.0,1.0\n0.5,nan\n")
+        (tmp_path / "short.csv").write_text("2,2,1.0,1.0\n0.5,1.5\n2.5\n")
         (tmp_path / "a_file").write_text("")
         save_manifest(tiny_case1(epochs=1), "m.json")
         assert main(argv) == 2

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -275,3 +277,38 @@ def test_data_csv_round_trip(tmp_path):
     assert np.allclose(u_back, 0.02)
     header = path.read_text().splitlines()[0]
     assert header == "src_x,src_z,rx_x,rx_z,t_obs_ms,uncertainty_ms"
+
+
+def loop_data_csv(path, survey, t_obs_s, uncertainty_s):
+    """The per-datum writer the column build replaced."""
+    t_ms = np.asarray(t_obs_s) * 1e3
+    u_ms = np.broadcast_to(np.asarray(uncertainty_s) * 1e3, t_ms.shape)
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["src_x", "src_z", "rx_x", "rx_z", "t_obs_ms",
+                    "uncertainty_ms"])
+        i = 0
+        for sx, sz in survey.src_positions:
+            for rx, rz in survey.rx_positions:
+                w.writerow([repr(float(sx)), repr(float(sz)),
+                            repr(float(rx)), repr(float(rz)),
+                            repr(float(t_ms[i])), repr(float(u_ms[i]))])
+                i += 1
+
+
+def test_data_csv_matches_datum_loop(tmp_path):
+    # 3 sources and 5 receivers: swapping the source and receiver columns'
+    # repeat and tile changes the rows
+    rng = np.random.default_rng(25)
+    survey = CrossholeSurvey(
+        src_positions=np.column_stack([np.zeros(3), rng.uniform(0, 9, 3)]),
+        rx_positions=np.column_stack([np.full(5, 7.5),
+                                      rng.uniform(0, 9, 5)]),
+        separation=7.5)
+    t = rng.uniform(1e-3, 5e-3, survey.n_data)
+    t[:3] = [np.nan, -0.0, 1e13]
+    u = rng.uniform(1e-6, 1e-5, survey.n_data)
+    loop_data_csv(tmp_path / "loop.csv", survey, t, u)
+    write_tomo_data_csv(tmp_path / "columns.csv", survey, t, u)
+    assert (tmp_path / "columns.csv").read_bytes() \
+        == (tmp_path / "loop.csv").read_bytes()
