@@ -9,17 +9,23 @@ serves them all.  No split cuts a sum, so its results do not depend on
 the core count.
 
 numpy and scipy wheels each bundle an OpenBLAS with its own pool of
-nproc threads.  After a call that wakes a pool, its workers spin for a
-while before they sleep, and a spinning pool holds cores that other work
-could use.  ``one_thread(lib)`` runs a pool at one thread around a block:
-- around ARPACK in the SVD, ``one_thread(scipy_openblas())``: its small
-  scipy BLAS calls alternate with numpy's large GEMMs (the network's
-  Jacobian products) and would wake scipy's workers while numpy's are
-  still spinning, which oversubscribes the cores;
-- on both inversion drivers, ``one_thread(numpy_openblas())``: the cores
-  go to the program's own split work, and numpy's worker does not spin on
-  them.  It also fixes the bits: numpy's 2-thread ``x.T @ d`` over the
-  cells rounds differently from its 1-thread one at some row counts.
+nproc threads.  The program runs both pools at one thread wherever it
+computes: ``one_thread()`` holds them on ``nfs_invert``,
+``conventional_invert`` and the SVD analysis
+(``nfinv.svd_analysis.analyze_trained_network``), the one call that
+``runner.run_case`` and ``nfinv svd`` both make.  Two reasons:
+- the bits: numpy's 2-thread ``x.T @ d`` over the cells rounds
+  differently from its 1-thread one at some row counts, so the weight
+  gradient, the SVD's Gram matrix and its Ritz products would depend on
+  the pool size.  Held, every output is the same at any core count and
+  any pool size;
+- the cores: after a call that wakes a pool, its workers spin for a while
+  before they sleep and hold cores that the program's own split work
+  needs.  A whole ``dcr-gn`` run used 2.0 CPU-seconds per wall-second with
+  numpy's worker left spinning and ~1.0 with it held; on ``tomo-nfs`` (2
+  cores) ARPACK's small calls on scipy's pool, alternating with numpy's
+  products, slowed the next network ``rmatmat`` from 75-93 ms to
+  128-188 ms.
 """
 
 from __future__ import annotations
@@ -74,11 +80,18 @@ def _split(work, n: int, least: int = 1) -> None:
         f.result()
 
 
+# the wheel that bundles each OpenBLAS: its file stem and the suffix of its
+# pool-size calls (numpy's build has 64-bit ints and ``64_`` symbols)
+_BUNDLED = {"numpy": ("scipy_openblas64_", "64_"),
+            "scipy": ("scipy_openblas", "")}
+
+
 @cache
-def _openblas(package: str, stem: str, suffix: str) -> ctypes.CDLL | None:
-    """The OpenBLAS in ``<package>.libs`` with its typed pool-size calls
-    ``scipy_openblas_{get,set}_num_threads<suffix>``, or None where this
-    build has none."""
+def _openblas(package: str) -> ctypes.CDLL | None:
+    """The OpenBLAS bundled in ``<package>.libs``, with typed pool-size
+    calls ``pool_size()`` and ``set_pool_size(n)``, or None where this build
+    has none."""
+    stem, suffix = _BUNDLED[package]
     root = os.path.dirname(importlib.import_module(package).__path__[0])
     for path in sorted(glob.glob(os.path.join(root, f"{package}.libs",
                                               f"lib{stem}-*.so"))):
@@ -95,33 +108,17 @@ def _openblas(package: str, stem: str, suffix: str) -> ctypes.CDLL | None:
     return None
 
 
-def scipy_openblas() -> ctypes.CDLL | None:
-    """scipy's bundled OpenBLAS (32-bit LAPACK ints), or None."""
-    return _openblas("scipy", "scipy_openblas", "")
-
-
-def numpy_openblas() -> ctypes.CDLL | None:
-    """numpy's bundled OpenBLAS (64-bit ints, ``64_`` symbols), or None."""
-    return _openblas("numpy", "scipy_openblas64_", "64_")
-
-
 @contextlib.contextmanager
-def one_thread(lib: ctypes.CDLL | None):
-    """Run ``lib``'s pool at one thread inside the block (a decorator too)
-    and restore its size on exit; with no library (None) the block runs
-    unchanged.
-
-    On ``tomo-nfs`` (2 cores), after ARPACK on the shared pools the next
-    network ``rmatmat`` took 128-188 ms against 75-93 ms with scipy's pool
-    held.  A whole ``dcr-gn`` run used 2.0 CPU-seconds per wall-second with
-    numpy's worker left spinning and ~1.0 with it held.
-    """
-    if lib is None:
-        yield
-        return
-    n = lib.pool_size()
-    lib.set_pool_size(1)
+def one_thread():
+    """Run numpy's and scipy's OpenBLAS pools at one thread inside the
+    block (a decorator too) and restore each pool's size on exit; a
+    library this build does not bundle is left alone."""
+    libs = [lib for lib in map(_openblas, _BUNDLED) if lib is not None]
+    sizes = [lib.pool_size() for lib in libs]
+    for lib in libs:
+        lib.set_pool_size(1)
     try:
         yield
     finally:
-        lib.set_pool_size(n)
+        for lib, n in zip(libs, sizes):
+            lib.set_pool_size(n)

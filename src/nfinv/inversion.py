@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from nfinv.blas import numpy_openblas, one_thread
+from nfinv.blas import one_thread
 from nfinv.errors import SolverError
 from nfinv.neural_field import (JacobianOperator, Mlp, forward, get_weights,
                                 save_checkpoint, set_weights)
@@ -183,7 +183,7 @@ class InversionResult:
         return len(self.misfit_history)
 
 
-@one_thread(numpy_openblas())
+@one_thread()
 def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
                epochs: int, tau: float | None = None,
                learning_rate: float = 1e-3,
@@ -204,12 +204,7 @@ def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
     model, raises SolverError after the weights are saved to
     ``diagnostic.ckpt`` in ``checkpoint_dir``.
 
-    The run holds numpy's BLAS pool at one thread (``nfinv.blas.one_thread``):
-    the network's forward rows and weight gradient, and the DC layer's
-    solve, are split over the cores by the program itself
-    (``nfinv.blas._split``), and numpy's worker, once woken, would spin on
-    those cores.  One thread also fixes the bits: numpy's 2-thread
-    ``x.T @ d`` over the cells rounds differently at some cell counts.
+    The run holds the BLAS pools at one thread (``nfinv.blas.one_thread``).
     """
     adam = Adam(mlp.param_count, learning_rate)
     w = get_weights(mlp)
@@ -314,7 +309,7 @@ def _power_iteration_step(hv, n: int) -> float:
     return max(lam, 1e-300)
 
 
-@one_thread(numpy_openblas())
+@one_thread()
 def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
                         reg: Regularization | None = None,
                         optimizer: str = "gradient_descent", *,
@@ -354,9 +349,7 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
     misfit after k accepted steps, so ``max_iterations=k`` reproduces that
     iterate as the final model.
 
-    The run holds numpy's BLAS pool at one thread (``nfinv.blas.one_thread``):
-    its products are small, and numpy's worker, once woken, would spin on
-    the core that the DC layer splits its solve over.
+    The run holds the BLAS pools at one thread (``nfinv.blas.one_thread``).
     """
     if optimizer not in ("gradient_descent", "gauss_newton"):
         raise ValueError(f"unknown optimizer {optimizer!r}")

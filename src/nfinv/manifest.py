@@ -1,8 +1,8 @@
 """Run manifests: per-case defaults, a per-field schema, seed fan-out.
 
 A manifest is a JSON document with a versioned schema that fully
-determines a run.  Re-running the same manifest on one host with the
-same numpy BLAS pool size reproduces every CSV output byte for byte
+determines a run.  Re-running the same manifest on one host, at any core
+count and any BLAS pool size, reproduces every output byte for byte
 (wall-clock timings therefore live only in metrics.json, never in CSVs).
 """
 

@@ -4,9 +4,8 @@ The network is evaluated in double precision with plain numpy, so that
 its outputs are bit-reproducible given a seed.  Work is split over the
 cores by rows, or between independent products (``nfinv.blas._split``),
 never across a sum, so the bits do not depend on the core count; with
-numpy's BLAS pool at one thread, as the inversion drivers hold it, they do
-not depend on the pool either.  The SVD's ``JacobianOperator.gram`` and
-``rmatmat`` run outside that hold: their last digits depend on its size.
+numpy's BLAS pool at one thread, as the program holds it
+(``nfinv.blas.one_thread``), they do not depend on the pool either.
 All weight vectors use one fixed flattening: for each layer in order,
 W.ravel() (C order, shape (fan_in, fan_out)) followed by the bias.
 """

@@ -2,9 +2,9 @@
 
 Every run directory carries a manifest echo sufficient to rerun it, data
 and model grids as CSV, rendered heatmaps, per-epoch histories and a
-machine-readable metrics file.  All CSV outputs are byte-deterministic
-for a given manifest, host and numpy BLAS pool size (the ``svd/`` exports
-depend on the pool); wall-clock timings appear only in metrics.json.
+machine-readable metrics file.  Every output is byte-deterministic per
+manifest and host at any core count and any BLAS pool size; wall-clock
+timings appear only in metrics.json.
 """
 
 from __future__ import annotations

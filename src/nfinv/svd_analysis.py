@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import eigsh
 
-from nfinv.blas import one_thread, scipy_openblas
+from nfinv.blas import one_thread
 from nfinv.errors import MAX_BYTES, CapacityError
 from nfinv.mesh import write_grid_csv
 from nfinv.neural_field import JacobianOperator, Mlp
@@ -79,10 +79,7 @@ def truncated_svd(J, k: int) -> SvdResult:
     # every eigenvector that is odd under a symmetry of G, and Lanczos
     # started there would never find those
     v0 = np.random.default_rng(0).standard_normal(n)
-    # ARPACK's small BLAS calls on scipy's pool alternate with numpy's
-    # G @ v and would leave scipy's workers spinning into rmatmat
-    with one_thread(scipy_openblas()):
-        Q = eigsh(G, k=k, which="LA", tol=0, v0=v0)[1]
+    Q = eigsh(G, k=k, which="LA", tol=0, v0=v0)[1]
     del G  # the n_cells^2 array; freed before the Ritz products allocate
     # Rayleigh-Ritz: sigma from Q^T J rather than sqrt of the eigenvalues,
     # which loses half the digits of the small ones
@@ -92,6 +89,7 @@ def truncated_svd(J, k: int) -> SvdResult:
     return SvdResult(values=s, U=U, V=V)
 
 
+@one_thread()
 def analyze_trained_network(mlp: Mlp, Z, k: int, grid_shape: tuple[int, int],
                             out_dir=None, dx: float = 1.0,
                             dz: float = 1.0) -> SvdResult:
@@ -99,7 +97,8 @@ def analyze_trained_network(mlp: Mlp, Z, k: int, grid_shape: tuple[int, int],
 
     ``grid_shape`` is (W, H) = (columns, rows) of the core grid.  With
     ``out_dir`` set, writes spectrum.csv, one grid CSV per U column,
-    rendered heatmaps and a sidecar manifest.
+    rendered heatmaps and a sidecar manifest.  The analysis holds the BLAS
+    pools at one thread (``nfinv.blas.one_thread``).
     """
     W, H = grid_shape
     result = truncated_svd(JacobianOperator(mlp, Z), k)

@@ -5,26 +5,19 @@ import pytest
 from nfinv import blas
 
 
-def _pool_at_two_threads(lib, name):
-    """``lib`` with its pool at 2 threads for the test, then as it was."""
-    if lib is None:
-        pytest.skip(f"{name}'s bundled OpenBLAS not found")
-    n = lib.pool_size()
-    lib.set_pool_size(2)
-    yield lib
-    lib.set_pool_size(n)
-
-
 @pytest.fixture
-def scipy_blas():
-    """scipy's OpenBLAS with its pool at 2 threads for the test."""
-    yield from _pool_at_two_threads(blas.scipy_openblas(), "scipy")
-
-
-@pytest.fixture
-def numpy_blas():
-    """numpy's OpenBLAS with its pool at 2 threads for the test."""
-    yield from _pool_at_two_threads(blas.numpy_openblas(), "numpy")
+def blas_pools():
+    """numpy's and scipy's bundled OpenBLAS with their pools at 2 threads
+    for the test, then as they were."""
+    libs = [blas._openblas(package) for package in ("numpy", "scipy")]
+    if None in libs:
+        pytest.skip("a bundled OpenBLAS was not found")
+    sizes = [lib.pool_size() for lib in libs]
+    for lib in libs:
+        lib.set_pool_size(2)
+    yield libs
+    for lib, n in zip(libs, sizes):
+        lib.set_pool_size(n)
 
 
 @pytest.fixture

@@ -1,10 +1,15 @@
 import threading
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
-from nfinv import blas
+from nfinv import blas, svd_analysis
+from nfinv.errors import SolverError
+from nfinv.inversion import conventional_invert, nfs_invert
+from nfinv.neural_field import init_kaiming
 
 
 def overflow_in_the_second_half(monkeypatch, cores):
@@ -51,3 +56,88 @@ def test_parts_hold_at_least_the_least_items(n, cores, sizes, monkeypatch):
     assert [p.stop - p.start for p in parts] == sizes
     assert parts[0].start == 0 and parts[-1].stop == n
 
+
+class ProbedSimulator:
+    """predict = A m, calling ``probe()`` first."""
+
+    def __init__(self, A, probe):
+        self.A, self.probe = A, probe
+
+    def predict(self, m):
+        self.probe()
+        return self.A @ m
+
+    def gradient(self, cot):
+        return self.A.T @ cot
+
+    def sensitivity(self):
+        return self.A
+
+
+def small_net():
+    return (init_kaiming((2, 6, 1), seed=3),
+            np.random.default_rng(3).normal(size=(5, 2)))
+
+
+def run_nfs(probe, monkeypatch):
+    nfs_invert(ProbedSimulator(np.eye(5) + 0.1, probe), np.ones(5), 1.0,
+               *small_net(), epochs=2)
+
+
+def run_conventional(optimizer, probe, monkeypatch):
+    conventional_invert(ProbedSimulator(np.eye(3) + 0.1, probe), np.ones(3),
+                        1.0, np.zeros(3), optimizer=optimizer,
+                        max_iterations=2)
+
+
+def run_svd(probe, monkeypatch):
+    def probed_eigsh(*args, **kwargs):
+        probe()
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(svd_analysis, "eigsh", probed_eigsh)
+    svd_analysis.analyze_trained_network(*small_net(), k=2, grid_shape=(5, 1))
+
+
+ENTRY_POINTS = {
+    "nfs_invert": run_nfs,
+    "gradient_descent": partial(run_conventional, "gradient_descent"),
+    "gauss_newton": partial(run_conventional, "gauss_newton"),
+    "analyze_trained_network": run_svd,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_entry_point_holds_both_pools_at_one_thread(entry, blas_pools,
+                                                    monkeypatch):
+    def sizes():
+        return [lib.pool_size() for lib in blas_pools]
+
+    inside = []
+
+    def record():
+        inside.append(sizes())
+
+    def fail():
+        raise SolverError("no solution")
+
+    entry(record, monkeypatch)
+    assert inside and all(s == [1, 1] for s in inside)
+    assert sizes() == [2, 2]
+    with pytest.raises(SolverError, match="no solution"):
+        entry(fail, monkeypatch)
+    assert sizes() == [2, 2]
+    # a nested hold gives the outer hold back its size
+    with blas.one_thread():
+        entry(record, monkeypatch)
+        assert sizes() == [1, 1]
+    assert sizes() == [2, 2]
+    # a library the lookup does not find is left as it is
+    inside.clear()
+    lookup = blas._openblas
+    monkeypatch.setattr(blas, "_openblas",
+                        lambda package: None if package == "numpy"
+                        else lookup(package))
+    entry(record, monkeypatch)
+    assert inside and all(s == [2, 1] for s in inside)
+    assert sizes() == [2, 2]

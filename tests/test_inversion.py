@@ -629,53 +629,3 @@ def test_network_epochs_never_build_the_dc_sensitivity(monkeypatch):
     man["epochs"] = 2
     result, _, _ = runner.run_nfs(man, runner.assemble(man))
     assert result.n_epochs == 2
-
-
-def test_conventional_invert_runs_numpy_blas_at_one_thread(numpy_blas):
-    inside = []
-
-    class RecordingSimulator(LinearSimulator):
-        def predict(self, m):
-            inside.append(numpy_blas.pool_size())
-            return super().predict(m)
-
-    class FailingSimulator(LinearSimulator):
-        def predict(self, m):
-            inside.append(numpy_blas.pool_size())
-            raise SolverError("no solution")
-
-    A = np.eye(3) + 0.1
-    for optimizer in ("gradient_descent", "gauss_newton"):
-        conventional_invert(RecordingSimulator(A), np.ones(3), 1.0,
-                            np.zeros(3), optimizer=optimizer,
-                            max_iterations=2)
-        assert numpy_blas.pool_size() == 2
-    with pytest.raises(SolverError, match="no solution"):
-        conventional_invert(FailingSimulator(A), np.ones(3), 1.0, np.zeros(3))
-    assert numpy_blas.pool_size() == 2
-    assert len(inside) > 3 and set(inside) == {1}
-
-
-def test_nfs_invert_runs_numpy_blas_at_one_thread(numpy_blas):
-    inside = []
-
-    class RecordingSimulator(LinearSimulator):
-        def predict(self, m):
-            inside.append(numpy_blas.pool_size())
-            return super().predict(m)
-
-    class FailingSimulator(LinearSimulator):
-        def predict(self, m):
-            inside.append(numpy_blas.pool_size())
-            raise SolverError("no solution")
-
-    mlp = init_kaiming((2, 6, 1), seed=3)
-    z = np.random.default_rng(3).normal(size=(5, 2))
-    A = np.eye(5) + 0.1
-    nfs_invert(RecordingSimulator(A), np.ones(5), 1.0, mlp, z, epochs=2)
-    assert numpy_blas.pool_size() == 2
-    with pytest.raises(SolverError, match="no solution"):
-        nfs_invert(FailingSimulator(A), np.ones(5), 1.0, mlp, z, epochs=2)
-    assert numpy_blas.pool_size() == 2
-    # two epochs and the final model, then the failing first epoch
-    assert inside == [1, 1, 1, 1]

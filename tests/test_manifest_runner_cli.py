@@ -1,9 +1,10 @@
-import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nfinv import blas
 from nfinv.cli import main
 from nfinv.errors import ManifestError
 from nfinv.manifest import (
@@ -34,6 +35,16 @@ def tiny_case2_gaussian(seed=0, epochs=8):
     for key in ("case", "encoding", "true_model"):
         man[key] = case2[key]
     man["encoding"]["b_rows"] = 8
+    return man
+
+
+def tiny_case1_svd(seed=0):
+    # 300 cells, not a multiple of 32 rows, with the desk network
+    man = default_manifest(1, seed=seed)
+    man["mesh"] = {"nx": 15, "nz": 20, "dx": 1.0, "dz": 1.0}
+    man["survey"] = {"spacing": 2.0}
+    man["epochs"] = 5
+    man["svd"] = {"k": 5}
     return man
 
 
@@ -150,21 +161,34 @@ class TestRunner:
 
     @pytest.mark.parametrize("tiny", [
         tiny_case1, tiny_case2_gaussian, tiny_case3,
-        lambda seed: tiny_case3("conventional", seed)],
-        ids=["case1", "case2-gaussian", "case3", "case3-gauss-newton"])
-    def test_csv_determinism(self, tmp_path, tiny):
+        lambda seed: tiny_case3("conventional", seed), tiny_case1_svd],
+        ids=["case1", "case2-gaussian", "case3", "case3-gauss-newton",
+             "case1-svd"])
+    def test_csv_determinism(self, tmp_path, tiny, blas_pools, monkeypatch):
+        # "a" on one core with both BLAS pools at one thread, "b" on three
+        # cores with both pools at two
         man = tiny(seed=3)
-        run_case(man, tmp_path / "a")
+        monkeypatch.setattr(blas, "_cores", lambda: 1)
+        with blas.one_thread():
+            run_case(man, tmp_path / "a")
+        monkeypatch.setattr(blas, "_cores", lambda: 3)
         run_case(man, tmp_path / "b")
-        files = sorted((tmp_path / "a").glob("*"))
+        names = [sorted(p.relative_to(tmp_path / run)
+                        for p in (tmp_path / run).rglob("*") if p.is_file())
+                 for run in ("a", "b")]
+        assert names[0] == names[1]
         if man["case"] == 2:
-            assert tmp_path / "a" / "b_matrix.csv" in files
-        for p in files:
-            if p.suffix in (".csv", ".png", ".ckpt"):
-                other = tmp_path / "b" / p.name
-                ha = hashlib.sha256(p.read_bytes()).hexdigest()
-                hb = hashlib.sha256(other.read_bytes()).hexdigest()
-                assert ha == hb, p.name
+            assert Path("b_matrix.csv") in names[0]
+        if man["svd"] is not None:
+            assert Path("svd", "spectrum.csv") in names[0]
+        for name in names[0]:
+            a, b = (tmp_path / run / name for run in ("a", "b"))
+            if name == Path("metrics.json"):
+                ma, mb = (json.loads(p.read_text()) for p in (a, b))
+                del ma["runtime_seconds"], mb["runtime_seconds"]
+                assert ma == mb
+            else:
+                assert a.read_bytes() == b.read_bytes(), name
 
     def test_manifest_echo_reruns(self, tmp_path):
         man = tiny_case1(seed=9)
@@ -494,6 +518,7 @@ class TestCli:
     def test_svd_verb(self, tmp_path, monkeypatch, capsys):
         man = tiny_case1(epochs=3)
         man["encoding"] = {"kind": "identity", "coord_range": [0.0, 1.0]}
+        man["svd"] = {"k": 3}
         man_path = tmp_path / "man.json"
         save_manifest(man, man_path)
         run_dir = tmp_path / "run"
@@ -503,7 +528,12 @@ class TestCli:
         assert main(["svd", "--manifest", str(man_path),
                      "--checkpoint", str(run_dir / "weights_final.ckpt"),
                      "--k", "3", "--out", str(svd_dir)]) == 0
-        assert (svd_dir / "spectrum.csv").exists()
+        # the verb reproduces the run's own SVD from its final weights
+        names = ["spectrum.csv", "svd_manifest.json"] + [
+            f"u_{i:03d}.csv" for i in range(3)]
+        for name in names:
+            assert ((svd_dir / name).read_bytes()
+                    == (run_dir / "svd" / name).read_bytes()), name
         # an --out that is a file exits 2 before the analysis starts
         monkeypatch.setattr("nfinv.svd_analysis.analyze_trained_network",
                             None)

@@ -353,8 +353,8 @@ class TestCheckpoint:
 class TestSplitPass:
     """The forward rows, the weight gradient beside the propagation and the
     derivative factor's rows run on several threads.  The reference is a
-    plain pass in one thread, with numpy's pool at one thread as the
-    inversion drivers hold it: at 2500 and 4097 rows numpy's 2-thread
+    plain pass in one thread, with the BLAS pools at one thread as the
+    program holds them: at 2500 and 4097 rows numpy's 2-thread
     X.T @ Delta rounds differently from its 1-thread one, as a cut of that
     sum over cells would."""
 
@@ -380,7 +380,7 @@ class TestSplitPass:
     @pytest.mark.parametrize("n", [3, 5, 7] + ROWS)
     def test_any_core_count_gives_the_one_thread_bits(self, n, monkeypatch):
         mlp, z, u = self.case(n)
-        with blas.one_thread(blas.numpy_openblas()):
+        with blas.one_thread():
             want = plain_pass(mlp, z, u)
             for cores in (1, 2, 3):
                 monkeypatch.setattr(blas, "_cores", lambda c=cores: c)
@@ -389,7 +389,7 @@ class TestSplitPass:
     @pytest.mark.parametrize("n", ROWS)
     def test_thread_stress_gives_the_one_thread_bits(self, n, thread_stress):
         mlp, z, u = self.case(n)
-        with blas.one_thread(blas.numpy_openblas()):
+        with blas.one_thread():
             want = plain_pass(mlp, z, u)
             for _ in range(2):
                 self.assert_equals_plain_pass(mlp, z, u, want)

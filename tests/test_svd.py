@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigsh
 
 from nfinv import svd_analysis
 from nfinv.encoding import encode
@@ -90,24 +89,6 @@ class TestTruncatedSvd:
         res = truncated_svd(J, k=4)
         for i in range(4):
             assert res.U[np.argmax(np.abs(res.U[:, i])), i] > 0
-
-    def test_eigsh_runs_on_one_scipy_blas_thread(self, scipy_blas,
-                                                  monkeypatch):
-        inside = []
-
-        def recording_eigsh(*args, **kwargs):
-            inside.append(scipy_blas.pool_size())
-            return eigsh(*args, **kwargs)
-
-        J = np.random.default_rng(4).normal(size=(12, 7))
-        want = truncated_svd(J, k=3)
-        assert scipy_blas.pool_size() == 2
-        monkeypatch.setattr(svd_analysis, "eigsh", recording_eigsh)
-        got = truncated_svd(J, k=3)
-        assert inside == [1]
-        assert scipy_blas.pool_size() == 2
-        assert np.array_equal(got.values, want.values)
-        assert np.array_equal(got.U, want.U)
 
 
 def _identity_net(nx, nz, hidden, **init):
