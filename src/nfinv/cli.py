@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from nfinv.errors import ManifestError, SolverError
+from nfinv.errors import MAX_BYTES, ManifestError, SolverError
 
 
 def _add_common_overrides(p: argparse.ArgumentParser):
@@ -142,16 +142,15 @@ def _verb_svd(args) -> int:
                             f"{list(mlp.layer_dims)} differ from the "
                             f"manifest's {list(layer_dims(man))}")
     os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the SVD
-    result = analyze_trained_network(
-        mlp, Z, k=args.k, grid_shape=(asm.mesh.nx_core, asm.mesh.nz_core),
-        out_dir=args.out, dx=asm.mesh.dx_core, dz=asm.mesh.dz_core)
+    result = analyze_trained_network(mlp, Z, args.k, asm.mesh,
+                                     out_dir=args.out)
     print(f"top singular values: {[round(float(v), 6) for v in result.values[:10]]}")
     return 0
 
 
 def _verb_render(args) -> int:
     from nfinv.mesh import read_grid_csv
-    from nfinv.render import render_grid
+    from nfinv.render import render_heatmap
     if args.scale < 1:
         raise ManifestError("--scale", f"must be at least 1, got {args.scale}")
     for option, value in (("--vmin", args.vmin), ("--vmax", args.vmax)):
@@ -165,8 +164,13 @@ def _verb_render(args) -> int:
         values, nx, nz, _, _ = read_grid_csv(args.grid)
     except (OSError, ValueError) as exc:
         raise ManifestError("--grid", str(exc)) from exc
-    render_grid(values.reshape(nz, nx), args.out, vmin=args.vmin,
-                vmax=args.vmax, scale=args.scale)
+    s = args.scale
+    need = 3 * nz * s * (nx * s + 2 + max(4, s))  # RGB: cells, gap, strip
+    if need > MAX_BYTES:
+        raise ManifestError("--scale", f"the {nz} x {nx} grid's {need}-byte "
+                            f"image exceeds {MAX_BYTES} bytes")
+    render_heatmap(values.reshape(nz, nx), args.out, vmin=args.vmin,
+                   vmax=args.vmax, scale=s)
     print(f"wrote {args.out}")
     return 0
 

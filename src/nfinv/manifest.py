@@ -19,8 +19,8 @@ from nfinv.svd_analysis import check_svd_capacity
 
 SCHEMA_VERSION = 1
 
-PAPER_HIDDEN = [128, 256, 256, 256, 256, 128]
-DESK_HIDDEN = [64, 128, 128, 128, 128, 64]
+PAPER_HIDDEN = (128, 256, 256, 256, 256, 128)
+DESK_HIDDEN = (64, 128, 128, 128, 128, 64)
 
 
 def sub_seed(master: int, name: str) -> int:

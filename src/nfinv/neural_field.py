@@ -376,12 +376,15 @@ def save_checkpoint(path, mlp: Mlp, epoch: int | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[Mlp, dict]:
-    """Rebuild a network from :func:`save_checkpoint` output."""
+    """Rebuild a network from :func:`save_checkpoint` output; a malformed
+    header or a non-finite weight raises ValueError."""
     from nfinv.manifest import CHECKPOINT, _walk  # circular at module level
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode())
         flat = np.frombuffer(f.read(), dtype="<f8").astype(float)
     _walk(CHECKPOINT, header, "header")
+    if not np.all(np.isfinite(flat)):
+        raise ValueError(f"weights: {np.sum(~np.isfinite(flat))} not finite")
     mlp = init_kaiming(header["layer_dims"],
                        hidden_slope=header["hidden_slope"],
                        output_activation=header["output_activation"],

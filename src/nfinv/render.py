@@ -1,4 +1,4 @@
-"""Heatmap rendering for grid CSV files.
+"""Heatmap rendering for model grids.
 
 Writes PNGs directly (stdlib zlib, fixed compression level) so identical
 grids always produce identical bytes.  Purely presentational; nothing in
@@ -11,8 +11,6 @@ import struct
 import zlib
 
 import numpy as np
-
-from nfinv.mesh import read_grid_csv
 
 # fixed sequential colormap anchors (dark violet to yellow), linear blend
 _ANCHORS = np.array([
@@ -56,15 +54,8 @@ def write_png(path, rgb: np.ndarray, text: dict | None = None) -> None:
         f.write(b"".join(out))
 
 
-def render_heatmap(grid_csv, out_path, vmin: float | None = None,
+def render_heatmap(grid: np.ndarray, out_path, vmin: float | None = None,
                    vmax: float | None = None, scale: int = 8) -> np.ndarray:
-    """Render a grid CSV to a PNG heatmap; see :func:`render_grid`."""
-    values, nx, nz, _, _ = read_grid_csv(grid_csv)
-    return render_grid(values.reshape(nz, nx), out_path, vmin, vmax, scale)
-
-
-def render_grid(grid: np.ndarray, out_path, vmin: float | None = None,
-                vmax: float | None = None, scale: int = 8) -> np.ndarray:
     """Render an (nz, nx) grid to a PNG heatmap; returns the pixel array.
 
     Each cell becomes a ``scale`` x ``scale`` pixel block; a color strip

@@ -22,6 +22,7 @@ from nfinv.errors import CapacityError, GeometryError, ManifestError
 from nfinv.inversion import Regularization, conventional_invert, nfs_invert
 from nfinv.manifest import (
     REGULARIZATION,
+    layer_dims,
     save_manifest,
     sub_seed,
     validate_manifest,
@@ -146,10 +147,11 @@ def _write_data_files(man: dict, asm: Assembled, out_dir: str) -> None:
 
 def _write_model_grid(mesh: TensorMesh, values: np.ndarray, out_dir: str,
                       stem: str) -> None:
-    csv_path = os.path.join(out_dir, f"{stem}.csv")
-    write_grid_csv(csv_path, values, nx=mesh.nx_core, nz=mesh.nz_core,
-                   dx=mesh.dx_core, dz=mesh.dz_core)
-    render_heatmap(csv_path, os.path.join(out_dir, f"{stem}.png"))
+    grid = values.reshape(mesh.nz_core, mesh.nx_core)
+    write_grid_csv(os.path.join(out_dir, f"{stem}.csv"), grid,
+                   nx=mesh.nx_core, nz=mesh.nz_core, dx=mesh.dx_core,
+                   dz=mesh.dz_core)
+    render_heatmap(grid, os.path.join(out_dir, f"{stem}.png"))
 
 
 def _write_histories(result, out_dir: str) -> None:
@@ -192,7 +194,7 @@ def run_nfs(man: dict, asm: Assembled, out_dir: str | None = None):
         write_b_matrix_csv(b, os.path.join(out_dir, "b_matrix.csv"))
 
     net = man["network"]
-    mlp = init_kaiming((Z.shape[1], *net["hidden"], 1),
+    mlp = init_kaiming(layer_dims(man),
                        output_activation=net["output_activation"],
                        output_scale=net["output_scale"],
                        output_offset=net["output_offset"],
@@ -288,11 +290,8 @@ def run_case(man: dict, out_dir) -> dict:
         save_checkpoint(os.path.join(out_dir, "weights_final.ckpt"), mlp,
                         epoch=result.n_epochs)
         if man["svd"] is not None:
-            analyze_trained_network(
-                mlp, Z, k=man["svd"]["k"],
-                grid_shape=(asm.mesh.nx_core, asm.mesh.nz_core),
-                out_dir=os.path.join(out_dir, "svd"),
-                dx=asm.mesh.dx_core, dz=asm.mesh.dz_core)
+            analyze_trained_network(mlp, Z, man["svd"]["k"], asm.mesh,
+                                    out_dir=os.path.join(out_dir, "svd"))
     else:
         result = run_conventional(man, asm)
 

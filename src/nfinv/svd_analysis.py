@@ -22,7 +22,7 @@ from scipy.sparse.linalg import eigsh
 
 from nfinv.blas import one_thread
 from nfinv.errors import MAX_BYTES, CapacityError
-from nfinv.mesh import write_grid_csv
+from nfinv.mesh import TensorMesh, write_grid_csv
 from nfinv.neural_field import JacobianOperator, Mlp
 
 
@@ -90,17 +90,15 @@ def truncated_svd(J, k: int) -> SvdResult:
 
 
 @one_thread()
-def analyze_trained_network(mlp: Mlp, Z, k: int, grid_shape: tuple[int, int],
-                            out_dir=None, dx: float = 1.0,
-                            dz: float = 1.0) -> SvdResult:
+def analyze_trained_network(mlp: Mlp, Z, k: int, mesh: TensorMesh,
+                            out_dir=None) -> SvdResult:
     """SVD of d(model)/d(weights) for a trained network, with map exports.
 
-    ``grid_shape`` is (W, H) = (columns, rows) of the core grid.  With
-    ``out_dir`` set, writes spectrum.csv, one grid CSV per U column,
-    rendered heatmaps and a sidecar manifest.  The analysis holds the BLAS
-    pools at one thread (``nfinv.blas.one_thread``).
+    ``Z`` holds the encoded core cells of ``mesh``.  With ``out_dir`` set,
+    writes spectrum.csv, one grid CSV and one rendered heatmap per U
+    column, and a sidecar manifest.  The analysis holds the BLAS pools at
+    one thread (``nfinv.blas.one_thread``).
     """
-    W, H = grid_shape
     result = truncated_svd(JacobianOperator(mlp, Z), k)
 
     if out_dir is not None:
@@ -110,13 +108,15 @@ def analyze_trained_network(mlp: Mlp, Z, k: int, grid_shape: tuple[int, int],
             w = csv.writer(f, lineterminator="\n")
             w.writerow(["index", "singular_value"])
             w.writerows(enumerate(result.values.tolist()))
+        # looked up per call, so a wrapper on render.render_heatmap sees it
         from nfinv.render import render_heatmap
         for i in range(result.k):
-            grid = result.U[:, i]
-            csv_path = os.path.join(out_dir, f"u_{i:03d}.csv")
-            write_grid_csv(csv_path, grid, nx=W, nz=H, dx=dx, dz=dz)
-            render_heatmap(csv_path, os.path.join(out_dir, f"u_{i:03d}.png"))
-        sidecar = {"k": result.k, "grid_shape": [W, H],
+            grid = result.U[:, i].reshape(mesh.nz_core, mesh.nx_core)
+            stem = os.path.join(out_dir, f"u_{i:03d}")
+            write_grid_csv(f"{stem}.csv", grid, nx=mesh.nx_core,
+                           nz=mesh.nz_core, dx=mesh.dx_core, dz=mesh.dz_core)
+            render_heatmap(grid, f"{stem}.png")
+        sidecar = {"k": result.k, "grid_shape": [mesh.nx_core, mesh.nz_core],
                    "param_count": mlp.param_count}
         if result.k >= 10:
             sidecar["decay_ratio_1_10"] = result.values[0] / result.values[9]

@@ -19,7 +19,7 @@ from nfinv.inversion import (
     data_misfit,
     nfs_invert,
 )
-from nfinv.manifest import default_manifest
+from nfinv.manifest import DESK_HIDDEN, PAPER_HIDDEN, default_manifest
 from nfinv.mesh import build_dcr_mesh, build_tomo_mesh, normalized_centers
 from nfinv.neural_field import (
     forward,
@@ -43,9 +43,6 @@ from nfinv.tomo import (
     build_crosshole_survey,
     build_ray_matrix,
 )
-
-PAPER_HIDDEN = (128, 256, 256, 256, 256, 128)
-DESK_HIDDEN = (64, 128, 128, 128, 128, 64)
 
 
 @contextmanager

@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-from nfinv.manifest import validate_manifest
+from nfinv.manifest import default_manifest, validate_manifest
+from nfinv.runner import run_case
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benchmark"))
@@ -33,3 +34,23 @@ def test_every_hook_resolves_and_is_restored():
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_every_workload_manifest_validates(workload):
     validate_manifest(workloads.manifest(workload, 0))
+
+
+def test_a_traced_svd_run_books_its_exports(tmp_path):
+    man = default_manifest(1, "nfs", 0)
+    man["mesh"].update(nx=8, nz=10)
+    man["survey"]["spacing"] = 2.0
+    man["network"]["hidden"] = [8, 8]
+    man["epochs"] = 2
+    man["svd"] = {"k": 3}
+    with instrument(Tracer(), layers.phase_targets()
+                    + layers.layer_targets()) as tracer:
+        run_case(man, tmp_path)
+    names = [s.name for s in tracer.spans]
+    assert names.count(layers.SVD) == 1
+    analyze = names.index(layers.SVD)
+    # one grid CSV and one heatmap per map, both inside the analysis
+    exports = [s for s in tracer.spans if s.name == "svd_analysis.export"]
+    assert len(exports) == 2 * 3
+    assert all(s.parent == analyze for s in exports)
+    assert "runner.export" in names

@@ -9,6 +9,7 @@ from scipy.sparse.linalg import eigsh
 from nfinv import blas, svd_analysis
 from nfinv.errors import SolverError
 from nfinv.inversion import conventional_invert, nfs_invert
+from nfinv.mesh import build_tomo_mesh
 from nfinv.neural_field import init_kaiming
 
 
@@ -96,7 +97,8 @@ def run_svd(probe, monkeypatch):
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(svd_analysis, "eigsh", probed_eigsh)
-    svd_analysis.analyze_trained_network(*small_net(), k=2, grid_shape=(5, 1))
+    svd_analysis.analyze_trained_network(*small_net(), 2,
+                                         build_tomo_mesh(5, 1, 1.0, 1.0))
 
 
 ENTRY_POINTS = {

@@ -15,7 +15,9 @@ from nfinv.manifest import (
     validate_manifest,
 )
 from nfinv.inversion import data_misfit
+from nfinv.mesh import read_grid_csv
 from nfinv.neural_field import forward, get_weights, load_checkpoint
+from nfinv.render import render_heatmap
 from nfinv.runner import assemble, encode_cells, run_case, simulate_case
 
 
@@ -214,7 +216,14 @@ class TestRunner:
         run_case(man, tmp_path / "run")
         svd_dir = tmp_path / "run" / "svd"
         assert (svd_dir / "spectrum.csv").exists()
-        assert (svd_dir / "u_000.png").exists()
+        # each heatmap is the rendering of its grid CSV's values
+        pngs = [tmp_path / "run" / "truth.png",
+                tmp_path / "run" / "recovered.png",
+                *(svd_dir / f"u_{i:03d}.png" for i in range(4))]
+        for png in pngs:
+            values, nx, nz, _, _ = read_grid_csv(png.with_suffix(".csv"))
+            render_heatmap(values.reshape(nz, nx), tmp_path / "again.png")
+            assert png.read_bytes() == (tmp_path / "again.png").read_bytes()
         # every field of the histories and the spectrum reads as a number,
         # and their lines end with \n alone
         for path in (tmp_path / "run" / "histories.csv",
@@ -492,6 +501,8 @@ class TestCli:
         (["render", "--grid", "g.csv", "--vmin", "2", "--vmax", "2",
           "--out", "g.png"], "--vmax"),
         (["render", "--grid", "short.csv", "--out", "g.png"], "--grid"),
+        (["render", "--grid", "g.csv", "--scale", "1000000", "--out",
+          "g.png"], "--scale"),
     ])
     def test_bad_paths_and_options_exit_2(self, tmp_path, monkeypatch,
                                           capsys, argv, option):

@@ -23,7 +23,12 @@ from nfinv.manifest import (
     layer_dims,
     save_manifest,
 )
-from nfinv.neural_field import init_kaiming, save_checkpoint
+from nfinv.neural_field import (
+    get_weights,
+    init_kaiming,
+    save_checkpoint,
+    set_weights,
+)
 
 DROP = object()
 
@@ -134,6 +139,13 @@ def test_bad_cli_inputs_exit_2_naming_input(tmp_path, capsys):
                    "--checkpoint")
     ckpt = tmp_path / "w.ckpt"
     save_checkpoint(ckpt, init_kaiming((2, 8, 1)))
+    exits_2_naming([*svd, "--checkpoint", str(ckpt)], "--checkpoint")
+    # one NaN weight in a network of the manifest's widths
+    mlp = init_kaiming(layer_dims(tiny(1)))
+    weights = get_weights(mlp)
+    weights[0] = np.nan
+    set_weights(mlp, weights)
+    save_checkpoint(ckpt, mlp)
     exits_2_naming([*svd, "--checkpoint", str(ckpt)], "--checkpoint")
 
     exits_2_naming(["report", str(tmp_path)],

@@ -7,6 +7,7 @@ import pytest
 from nfinv import blas, neural_field
 from nfinv.encoding import encode
 from nfinv.errors import CapacityError
+from nfinv.manifest import PAPER_HIDDEN
 from nfinv.mesh import build_tomo_mesh, normalized_centers
 from nfinv.neural_field import (
     JacobianOperator,
@@ -20,8 +21,6 @@ from nfinv.neural_field import (
     vjp,
     weight_jacobian,
 )
-
-PAPER_HIDDEN = (128, 256, 256, 256, 256, 128)
 
 
 def plain_pass(mlp, z, u):

@@ -4,7 +4,7 @@ import zlib
 
 import numpy as np
 
-from nfinv.mesh import build_dcr_mesh, write_grid_csv
+from nfinv.mesh import build_dcr_mesh
 from nfinv.render import render_heatmap, write_png
 from nfinv.scenarios import make_case3
 
@@ -53,20 +53,17 @@ def test_png_round_trip(tmp_path):
 
 
 def test_constant_grid_single_color(tmp_path):
-    csv = tmp_path / "grid.csv"
-    write_grid_csv(csv, np.full(6, 2.5), nx=3, nz=2, dx=1.0, dz=1.0)
-    img = render_heatmap(csv, tmp_path / "grid.png", scale=4)
+    img = render_heatmap(np.full((2, 3), 2.5), tmp_path / "grid.png",
+                         scale=4)
     # the cell blocks, left of the color strip
     flat = img[:, :3 * 4].reshape(-1, 3)
     assert len(np.unique(flat, axis=0)) == 1
 
 
 def test_2x2_grid_four_blocks(tmp_path):
-    csv = tmp_path / "grid.csv"
-    write_grid_csv(csv, np.array([0.0, 1.0, 2.0, 3.0]), nx=2, nz=2,
-                   dx=1.0, dz=1.0)
     scale = 4
-    img = render_heatmap(csv, tmp_path / "grid.png", scale=scale)
+    img = render_heatmap(np.array([[0.0, 1.0], [2.0, 3.0]]),
+                         tmp_path / "grid.png", scale=scale)
     # the cell blocks, left of the 2-pixel gap and the color strip
     assert img.shape == (2 * scale, 2 * scale + 2 + 4, 3)
     cells = img[:, :2 * scale]
@@ -79,24 +76,19 @@ def test_2x2_grid_four_blocks(tmp_path):
 
 
 def test_color_range_metadata(tmp_path):
-    csv = tmp_path / "grid.csv"
-    write_grid_csv(csv, np.array([1.0, 5.0]), nx=2, nz=1, dx=1.0, dz=1.0)
-    render_heatmap(csv, tmp_path / "grid.png")
+    render_heatmap(np.array([[1.0, 5.0]]), tmp_path / "grid.png")
     _, text = read_png(tmp_path / "grid.png")
     assert text["color_range"] == "1.0..5.0"
 
 
 def test_case3_dike_band_visible_and_hash_stable(tmp_path):
     mesh = build_dcr_mesh(100, 30, 5.0, 5.0, 0, 1.5)
-    m = make_case3(mesh, dip_angle_deg=90.0)
-    csv = tmp_path / "case3.csv"
-    write_grid_csv(csv, m, nx=100, nz=30, dx=5.0, dz=5.0)
-    img = render_heatmap(csv, tmp_path / "a.png", scale=2)
-    grid = m.reshape(30, 100)
+    grid = make_case3(mesh, dip_angle_deg=90.0).reshape(30, 100)
+    img = render_heatmap(grid, tmp_path / "a.png", scale=2)
     r, c_dike = 10, int(np.flatnonzero(grid[10] == -1.0)[0])
     c_bg = 2
     assert tuple(img[r * 2, c_dike * 2]) != tuple(img[r * 2, c_bg * 2])
-    render_heatmap(csv, tmp_path / "b.png", scale=2)
+    render_heatmap(grid, tmp_path / "b.png", scale=2)
     h1 = hashlib.sha256((tmp_path / "a.png").read_bytes()).hexdigest()
     h2 = hashlib.sha256((tmp_path / "b.png").read_bytes()).hexdigest()
     assert h1 == h2

@@ -94,22 +94,22 @@ class TestTruncatedSvd:
 def _identity_net(nx, nz, hidden, **init):
     mesh = build_tomo_mesh(nx, nz, 1.0, 1.0)
     z = encode(normalized_centers(mesh, 0.0, 1.0), "identity")
-    return init_kaiming((2, *hidden, 1), **init), z
+    return init_kaiming((2, *hidden, 1), **init), z, mesh
 
 
 class TestAnalyzeTrainedNetwork:
     def test_zero_weight_network_rank_deficient(self):
-        mlp, z = _identity_net(8, 10, (8, 8), output_activation="sigmoid")
+        mlp, z, mesh = _identity_net(8, 10, (8, 8),
+                                     output_activation="sigmoid")
         set_weights(mlp, np.zeros(mlp.param_count))
-        res = analyze_trained_network(mlp, z, k=3, grid_shape=(8, 10))
+        res = analyze_trained_network(mlp, z, 3, mesh)
         assert res.values[1] / res.values[0] < 1e-12
 
     @pytest.mark.parametrize("k", [4, 10])
     def test_exports(self, tmp_path, k):
-        mlp, z = _identity_net(6, 9, (16, 16), seed=8)
+        mlp, z, mesh = _identity_net(6, 9, (16, 16), seed=8)
         out = tmp_path / "svd"
-        res = analyze_trained_network(mlp, z, k=k, grid_shape=(6, 9),
-                                      out_dir=out)
+        res = analyze_trained_network(mlp, z, k, mesh, out_dir=out)
         spectrum = [float(row.split(",")[1]) for row in
                     (out / "spectrum.csv").read_text().splitlines()[1:]]
         assert spectrum == res.values.tolist()
@@ -125,10 +125,9 @@ class TestAnalyzeTrainedNetwork:
         assert np.max(np.abs(norms - 1.0)) < 1e-6
 
     def test_exports_are_byte_identical(self, tmp_path):
-        mlp, z = _identity_net(7, 11, (16, 16), seed=3)
+        mlp, z, mesh = _identity_net(7, 11, (16, 16), seed=3)
         for run in ("a", "b"):
-            analyze_trained_network(mlp, z, k=5, grid_shape=(7, 11),
-                                    out_dir=tmp_path / run)
+            analyze_trained_network(mlp, z, 5, mesh, out_dir=tmp_path / run)
         names = ["spectrum.csv"] + [f"u_{i:03d}.csv" for i in range(5)]
         for name in names:
             assert ((tmp_path / "a" / name).read_bytes()
@@ -136,10 +135,10 @@ class TestAnalyzeTrainedNetwork:
 
     def test_capacity_guard(self, monkeypatch):
         # the 256-cell Gram matrix takes 512 KB
-        mlp, z = _identity_net(16, 16, (64, 64), seed=0)
+        mlp, z, mesh = _identity_net(16, 16, (64, 64), seed=0)
         monkeypatch.setattr(svd_analysis, "MAX_BYTES", 256 * 256 * 8 - 1)
         with pytest.raises(CapacityError):
-            analyze_trained_network(mlp, z, k=2, grid_shape=(16, 16))
+            analyze_trained_network(mlp, z, 2, mesh)
         monkeypatch.setattr(svd_analysis, "MAX_BYTES", 256 * 256 * 8)
-        res = analyze_trained_network(mlp, z, k=2, grid_shape=(16, 16))
+        res = analyze_trained_network(mlp, z, 2, mesh)
         assert res.k == 2
