@@ -3,10 +3,10 @@ bundled with numpy and scipy.
 
 The program splits its independent work over the cores itself
 (``_split``): the DC solve's columns (``nfinv.dcr``), the network's
-forward rows, and its weight gradient beside the backward propagation
-(``nfinv.neural_field``).  One pool of cores - 1 threads (``_workers``)
-serves them all.  No split cuts a sum, so its results do not depend on
-the core count.
+forward rows, its weight gradient beside the backward propagation, and
+the row blocks of the SVD's Gram matrix (``nfinv.neural_field``).  One
+pool of cores - 1 threads (``_workers``) serves them all.  No split cuts
+a sum, so its results do not depend on the core count.
 
 numpy and scipy wheels each bundle an OpenBLAS with its own pool of
 nproc threads.  The program runs both pools at one thread wherever it

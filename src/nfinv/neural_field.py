@@ -121,8 +121,11 @@ def _head(raw: np.ndarray, kind: str):
     return raw, np.ones_like(raw)
 
 
-# bytes of one cell block's temporary in matmat / rmatmat / gram
+# bytes of one cell block's temporary in matmat / rmatmat
 _BLOCK_BYTES = 4 * 2 ** 20
+# bytes of one of gram's row blocks (its (rows, n_cells) buffers); a
+# constant, so that the block geometry does not depend on the core count
+_GRAM_BYTES = 2 ** 20
 # rows of one chunk of the elementwise passes of the forward and backward
 # sweeps: a chunk's temporaries stay in cache, and a whole layer's would
 # add an (n_cells, width) array to the peak memory
@@ -135,6 +138,20 @@ def _chunks(part: slice) -> list[slice]:
             for lo in range(part.start, part.stop, _CHUNK_ROWS)]
 
 
+def _gram_rows(s: slice, x, d, out: np.ndarray, t, u) -> None:
+    """Add one layer's term of rows s of the Gram's lower triangle into
+    the packed ``out``, through the GEMM buffers t and u."""
+    m = s.stop - s.start
+    t, u = (b[:m * s.stop].reshape(m, s.stop) for b in (t, u))
+    np.matmul(x[s], x[:s.stop].T, out=t)
+    t += 1.0
+    np.matmul(d[s], d[:s.stop].T, out=u)
+    t *= u
+    for r, i in enumerate(range(s.start, s.stop)):
+        o = i * (i + 1) // 2
+        out[o:o + i + 1] += t[r, :i + 1]
+
+
 class JacobianOperator:
     """The network linearized at its current weights, J = d(model)/d(weights).
 
@@ -144,9 +161,10 @@ class JacobianOperator:
     equals a separate forward and backward pass bit for bit.  A
     scalar-output network's backprop sensitivities are linear in the
     cotangent, Delta_l(c) = c * Delta_l(1) row by row, so the unit
-    sensitivities Delta_l(1), computed on first use, give ``matmat``,
-    ``rmatmat``, ``gram`` and the dense Jacobian as GEMMs per layer (the
-    per-example gradient identity, Goodfellow, arXiv:1510.01799).
+    sensitivities Delta_l(1), from one backward sweep per call, give
+    ``matmat``, ``rmatmat``, ``gram`` and the dense Jacobian as GEMMs per
+    layer (the per-example gradient identity, Goodfellow,
+    arXiv:1510.01799); none of them keeps the sensitivities.
     Every product is exact.  The cache holds the weights at construction:
     build a new operator after changing them.  shape is (n_cells, n_params).
     """
@@ -190,7 +208,6 @@ class JacobianOperator:
         raw = (self._xs[-1] @ mlp.weights[-1] + mlp.biases[-1])[:, 0]
         act, self._head_deriv = _head(raw, mlp.output_activation)
         self.m = mlp.output_offset + mlp.output_scale * act
-        self._unit = None
 
     def _slices(self):
         """(layer input, W, weight slice, bias slice) in flat-vector order."""
@@ -251,12 +268,15 @@ class JacobianOperator:
             if i:
                 d = below[0]
 
+    def _unit_backward(self):
+        """Yield Delta_l(1) = d(model)/d(pre-activation of layer l), all
+        cells, last layer first."""
+        head = (self._mlp.output_scale * self._head_deriv)[:, None]
+        return self._backward(head)
+
     def _unit_deltas(self) -> list[np.ndarray]:
-        """Delta_l(1) = d(model)/d(pre-activation of layer l), all cells."""
-        if self._unit is None:
-            head = (self._mlp.output_scale * self._head_deriv)[:, None]
-            self._unit = list(self._backward(head))[::-1]
-        return self._unit
+        """Every Delta_l(1), first layer first."""
+        return list(self._unit_backward())[::-1]
 
     def _blocks(self, width: int):
         """Cell slices whose (rows, width) float64 temporaries fit a block."""
@@ -305,22 +325,47 @@ class JacobianOperator:
         return out
 
     def gram(self) -> np.ndarray:
-        """J @ J.T, the (n_cells, n_cells) empirical neural tangent kernel.
+        """The lower triangle of J @ J.T, the (n_cells, n_cells) empirical
+        neural tangent kernel, packed by rows: G_ij for j <= i at
+        i (i + 1) / 2 + j, n_cells (n_cells + 1) / 2 doubles.
 
         Row i of J holds x_i (x) delta_i and delta_i for each layer, so
-        (J J^T)_ij = sum_l (x_i . x_j + 1) (delta_i . delta_j).  A row
-        block is summed up to its diagonal, then mirrored above it.
+        G_ij = sum_l (x_i . x_j + 1) (delta_i . delta_j), summed from zero,
+        last layer first.  The unit sensitivities are streamed from the
+        backward sweep one layer at a time, never all held.  Each layer's
+        rows run in blocks of a fixed geometry (``_gram_blocks``), so an
+        entry's GEMMs, and its bits, do not depend on the core count: the
+        parts of a ``_split`` take the blocks from one shared queue,
+        largest first, each through two GEMM buffers allocated here.
         """
         n = self.shape[0]
-        out = np.zeros((n, n))
-        for s in self._blocks(n):
-            for x, d in zip(self._xs, self._unit_deltas()):
-                t = x[s] @ x[:s.stop].T
-                t += 1.0
-                t *= d[s] @ d[:s.stop].T
-                out[s, :s.stop] += t
-            out[:s.start, s] = out[s, :s.start].T
+        blocks = self._gram_blocks()
+        out = np.zeros(n * (n + 1) // 2)
+        # one pair of buffers per part, as _split cuts them, each the size
+        # of the first (largest) block
+        s = blocks[0]
+        bufs = list(np.empty((min(blas._cores(), len(blocks)), 2,
+                              (s.stop - s.start) * s.stop)))
+        for x, d in zip(self._xs[::-1], self._unit_backward()):
+            slots, queue = iter(bufs), iter(blocks)
+
+            def take(part: slice) -> None:
+                t, u = next(slots)
+                for s in queue:  # ``next`` on a list iterator is atomic
+                    _gram_rows(s, x, d, out, t, u)
+
+            blas._split(take, len(blocks))
         return out
+
+    def _gram_blocks(self) -> list[slice]:
+        """gram's row blocks, largest first: _GRAM_BYTES // (8 n_cells)
+        rows each (one at least), the last one maybe shorter."""
+        n = self.shape[0]
+        rows = max(1, _GRAM_BYTES // (8 * n))
+        return sorted((slice(lo, min(lo + rows, n))
+                       for lo in range(0, n, rows)),
+                      key=lambda s: (s.stop - s.start) * s.stop,
+                      reverse=True)
 
     def dense(self) -> np.ndarray:
         """The whole Jacobian; row i is the weight gradient of m_i."""

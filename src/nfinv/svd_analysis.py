@@ -5,9 +5,11 @@ inversion their maps show what basis the reparameterization has built for
 the model.  ``truncated_svd`` is exact: it takes the top-k eigenvectors Q
 of the (n_cells, n_cells) Gram matrix J J^T, the network's empirical
 neural tangent kernel, then one Rayleigh-Ritz step (an SVD of Q^T J)
-gives the singular values and both sets of singular vectors.  For a
-network only the Gram matrix is formed, never J, so every shipped grid
-fits the byte budget.
+gives the singular values and both sets of singular vectors.  Only G's
+lower triangle is held, packed by rows (n_cells (n_cells + 1) / 2
+doubles), and ARPACK's products with it are BLAS's packed ``dspmv``.  For
+a network the triangle is built on every core and J is never formed, so
+every shipped grid fits the byte budget.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ import csv
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
+from scipy.linalg.blas import dspmv
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from nfinv.blas import one_thread
-from nfinv.errors import MAX_BYTES, CapacityError
+from nfinv.errors import MAX_BYTES, CapacityError, SolverError
 from nfinv.mesh import TensorMesh, write_grid_csv
 from nfinv.neural_field import JacobianOperator, Mlp
 
@@ -30,8 +34,10 @@ def check_svd_capacity(n_cells: int, n_weights: int, k: int) -> None:
     """Refuse a top-k SVD of an (n_cells, n_weights) Jacobian that
     ``truncated_svd`` cannot compute: ValueError unless
     1 <= k <= min(n_cells - 1, n_weights) (ARPACK finds fewer eigenpairs
-    than the Gram matrix has rows), CapacityError when the Gram matrix
-    would exceed the byte budget.
+    than the Gram matrix has rows), CapacityError when the whole
+    n_cells^2 Gram matrix would exceed the byte budget.  Only its packed
+    lower triangle is held, so the bound is 2x conservative; it is kept so
+    that the grids it admits stay as they were.
     """
     if not 1 <= k <= min(n_cells - 1, n_weights):
         raise ValueError(f"must lie in [1, {min(n_cells - 1, n_weights)}], "
@@ -68,19 +74,27 @@ def _fix_signs(U: np.ndarray, V: np.ndarray):
 def truncated_svd(J, k: int) -> SvdResult:
     """Top-k singular triplets of a matrix or a :class:`JacobianOperator`.
 
-    Raises as ``check_svd_capacity`` does for k and the Gram matrix size.
+    Raises as ``check_svd_capacity`` does for k and the Gram matrix size,
+    and SolverError when the Gram matrix holds a non-finite entry (a
+    network whose model overflows), before ARPACK sees it.
     """
     n = J.shape[0]
     check_svd_capacity(n, J.shape[1], k)
 
     dense = isinstance(J, np.ndarray)
-    G = J @ J.T if dense else J.gram()
+    # G's lower triangle packed by rows, which BLAS's packed products read
+    # as the upper triangle packed by columns (lower=0)
+    ap = (J @ J.T)[np.tri(n, dtype=bool)] if dense else J.gram()
+    if not np.isfinite(ap).all():
+        raise SolverError("the SVD's Gram matrix holds a non-finite entry")
     # a fixed generic start vector: the all-ones vector is orthogonal to
     # every eigenvector that is odd under a symmetry of G, and Lanczos
     # started there would never find those
     v0 = np.random.default_rng(0).standard_normal(n)
+    G = LinearOperator((n, n), matvec=partial(dspmv, n, 1.0, ap, lower=0),
+                       dtype=float)
     Q = eigsh(G, k=k, which="LA", tol=0, v0=v0)[1]
-    del G  # the n_cells^2 array; freed before the Ritz products allocate
+    del G, ap  # the triangle; freed before the Ritz products allocate
     # Rayleigh-Ritz: sigma from Q^T J rather than sqrt of the eigenvalues,
     # which loses half the digits of the small ones
     B = (J.T @ Q if dense else J.rmatmat(Q)).T

@@ -419,13 +419,19 @@ class TestCli:
         assert not list(tmp_path.rglob("*.ckpt"))
         assert not (tmp_path / "run" / "metrics.json").exists()
 
-    def test_numerical_abort_exit_3(self, tmp_path, capsys):
+    @staticmethod
+    def overflowing_manifest(tmp_path):
+        """A case-1 manifest whose training diverges: its path."""
         man = tiny_case1(epochs=5)
         man["network"]["output_activation"] = "none"
         man["network"]["output_scale"] = 1e300
         man["nfs"]["learning_rate"] = 1e300
         path = tmp_path / "diverge.json"
         save_manifest(man, path)
+        return path
+
+    def test_numerical_abort_exit_3(self, tmp_path, capsys):
+        path = self.overflowing_manifest(tmp_path)
         with np.errstate(all="ignore"):
             code = main(["invert", "--manifest", str(path),
                          "--out", str(tmp_path / "run")])
@@ -433,6 +439,22 @@ class TestCli:
         assert "numerical abort" in capsys.readouterr().err
         # diagnostic checkpoint written for post-mortem
         assert (tmp_path / "run" / "diagnostic.ckpt").exists()
+
+    def test_svd_of_an_overflowing_checkpoint_exit_3(self, tmp_path, capsys):
+        # the diverged run's weights are finite, but its model overflows,
+        # so the SVD's Gram matrix is not finite
+        path = self.overflowing_manifest(tmp_path)
+        with np.errstate(all="ignore"):
+            assert main(["invert", "--manifest", str(path),
+                         "--out", str(tmp_path / "run")]) == 3
+            capsys.readouterr()
+            code = main(["svd", "--manifest", str(path), "--checkpoint",
+                         str(tmp_path / "run" / "diagnostic.ckpt"),
+                         "--k", "3", "--out", str(tmp_path / "svd")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical abort: the SVD's Gram matrix" in err
+        assert "Traceback" not in err
 
     def test_divergence_in_the_last_epoch_exit_3(self, tmp_path, capsys):
         # one Adam step at lr = 1e300 leaves finite weights whose model

@@ -267,36 +267,39 @@ class TestJacobian:
                                        atol=1e-12 * np.abs(want).max())
 
     def test_gram_matches_dense(self, monkeypatch):
-        # 8 KB blocks and a prime cell count leave a partial last block
-        monkeypatch.setattr(neural_field, "_BLOCK_BYTES", 8192)
+        # 8 KB blocks and a prime cell count leave a shorter last block
+        monkeypatch.setattr(neural_field, "_GRAM_BYTES", 8192)
         mlp = init_kaiming((3, 16, 12, 1), output_activation="sigmoid",
                            output_scale=1.7, seed=7)
         z = np.random.default_rng(14).normal(size=(211, 3))
         op = JacobianOperator(mlp, z)
-        assert any(s.stop > 211 for s in op._blocks(211))
+        assert len({s.stop - s.start for s in op._gram_blocks()}) == 2
         j = weight_jacobian(mlp, z)
         want = j @ j.T
-        np.testing.assert_allclose(op.gram(), want, rtol=1e-12,
+        lower = np.zeros((211, 211))
+        lower[np.tri(211, dtype=bool)] = op.gram()
+        got = lower + np.tril(lower, -1).T
+        np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
-    def test_gram_lower_blocks_mirrored_bitwise(self, monkeypatch):
-        # several row blocks: only their lower parts are summed, the rest
-        # is mirrored, and it equals the whole per-layer sum bit for bit.
-        # The reference takes its GEMMs a row block at a time, as gram
-        # does: at this size x @ x.T rounds differently from x[s] @ x.T.
-        monkeypatch.setattr(neural_field, "_BLOCK_BYTES", 8192)
+    def test_gram_lower_blocks_bitwise(self, monkeypatch):
+        # several row blocks, each summed up to its diagonal: the packed
+        # triangle equals the per-layer sum bit for bit.  The reference
+        # takes its GEMMs a row block at a time in gram's own block
+        # geometry and layer order: at this size x @ x.T rounds
+        # differently from x[s] @ x.T.
+        monkeypatch.setattr(neural_field, "_GRAM_BYTES", 8192)
         mlp = init_kaiming((3, 16, 12, 1), output_activation="sigmoid",
                            output_scale=1.7, seed=7)
         z = np.random.default_rng(15).normal(size=(211, 3))
         op = JacobianOperator(mlp, z)
-        assert len(op._blocks(211)) > 3
-        want = np.empty((211, 211))
-        for s in op._blocks(211):
-            want[s] = sum((x[s] @ x.T + 1.0) * (d[s] @ d.T)
-                          for x, d in zip(op._xs, op._unit_deltas()))
-        got = op.gram()
-        assert np.array_equal(got, want)
-        assert np.array_equal(got, got.T)
+        assert len(op._gram_blocks()) > 3
+        want = np.zeros((211, 211))
+        for x, d in zip(op._xs[::-1], op._unit_deltas()[::-1]):
+            for s in op._gram_blocks():
+                want[s, :s.stop] += ((x[s] @ x[:s.stop].T + 1.0)
+                                     * (d[s] @ d[:s.stop].T))
+        assert np.array_equal(op.gram(), want[np.tri(211, dtype=bool)])
 
     @pytest.mark.parametrize("slope", [0.0, 0.01, 0.3, 1.0])
     def test_sweep_matches_where_backprop_bitwise(self, slope):
@@ -384,6 +387,39 @@ class TestSplitPass:
             for cores in (1, 2, 3):
                 monkeypatch.setattr(blas, "_cores", lambda c=cores: c)
                 self.assert_equals_plain_pass(mlp, z, u, want)
+
+    def test_gram_any_core_count_gives_the_same_bits(self, monkeypatch):
+        # a prime cell count and 8 KB blocks: 53 blocks over up to 3 parts
+        monkeypatch.setattr(neural_field, "_GRAM_BYTES", 8192)
+        mlp = init_kaiming((3, 16, 12, 1), output_activation="sigmoid",
+                           output_scale=1.7, seed=7)
+        z = np.random.default_rng(16).normal(size=(211, 3))
+        taken = []
+        rows = neural_field._gram_rows
+
+        def record(s, *args):
+            taken.append(s)
+            rows(s, *args)
+
+        monkeypatch.setattr(neural_field, "_gram_rows", record)
+        grams = []
+        with blas.one_thread():
+            for cores in (1, 2, 3):
+                monkeypatch.setattr(blas, "_cores", lambda c=cores: c)
+                taken.clear()
+                op = JacobianOperator(mlp, z)
+                blocks = len(op._gram_blocks())
+                assert blocks > 3 * cores
+                grams.append(op.gram())
+                # in each of the 3 layers the parts' blocks cover every
+                # row exactly once
+                assert len(taken) == 3 * blocks
+                for layer in range(3):
+                    covered = np.zeros(211, dtype=int)
+                    for s in taken[layer * blocks:(layer + 1) * blocks]:
+                        covered[s] += 1
+                    assert np.all(covered == 1)
+        assert all(np.array_equal(g, grams[0]) for g in grams[1:])
 
     @pytest.mark.parametrize("n", ROWS)
     def test_thread_stress_gives_the_one_thread_bits(self, n, thread_stress):

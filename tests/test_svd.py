@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nfinv import svd_analysis
+from nfinv import blas, neural_field, svd_analysis
 from nfinv.encoding import encode
 from nfinv.errors import CapacityError
+from nfinv.manifest import DESK_HIDDEN
 from nfinv.mesh import build_tomo_mesh, normalized_centers
 from nfinv.neural_field import (
     JacobianOperator,
@@ -142,3 +144,26 @@ class TestAnalyzeTrainedNetwork:
         monkeypatch.setattr(svd_analysis, "MAX_BYTES", 256 * 256 * 8)
         res = analyze_trained_network(mlp, z, 2, mesh)
         assert res.k == 2
+
+    def test_peak_memory_holds_the_packed_triangle(self, monkeypatch):
+        # the Gram's lower triangle, n (n + 1) / 2 doubles, plus the
+        # operator's caches (every hidden layer's output, the model and the
+        # head derivative), plus the two widest layers' unit sensitivities,
+        # which the backward sweep streams, plus two (rows, n) block
+        # buffers per part, plus 2 MiB for the rest.  The whole n^2 Gram
+        # (30.5 MiB here), or every layer's sensitivities held at once
+        # (5.9 MiB more), would not fit
+        monkeypatch.setattr(blas, "_cores", lambda: 2)
+        mlp, z, mesh = _identity_net(40, 50, DESK_HIDDEN, seed=0)
+        n = 2000
+        rows = neural_field._GRAM_BYTES // (8 * n)
+        bound = 8 * (n * (n + 1) // 2 + n * (sum(DESK_HIDDEN) + 2)
+                     + 2 * n * max(DESK_HIDDEN) + 2 * 2 * rows * n)
+        bound += 2 * 2 ** 20
+        tracemalloc.start()
+        try:
+            analyze_trained_network(mlp, z, 5, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
