@@ -200,9 +200,9 @@ def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
     ``IRLS_EPSILON``, then backpropagate (1 - beta) * J_v + beta *
     grad phi_m(m) through the network only and take one Adam step.  With
     no ``tau``, beta is 0 throughout (the tomography configuration).
-    A physics failure or a non-finite misfit, at an epoch or of the final
-    model, raises SolverError after the weights are saved to
-    ``diagnostic.ckpt`` in ``checkpoint_dir``.
+    A physics failure, a non-finite misfit or a non-finite Adam step
+    raises SolverError after the last finite weights are saved to
+    ``diagnostic.ckpt`` in ``checkpoint_dir``, tagged with their epoch.
 
     The run holds the BLAS pools at one thread (``nfinv.blas.one_thread``).
     """
@@ -211,52 +211,55 @@ def nfs_invert(simulator, d_obs: np.ndarray, w_d, mlp: Mlp, Z,
     misfits, betas, regs, clocks = [], [], [], []
     converged = False
 
-    def evaluate(m, t: int, where: str):
-        try:
-            phi_d, cot = data_misfit(w_d, d_obs, simulator.predict(m))
-            if not np.isfinite(phi_d):
-                raise SolverError(f"non-finite misfit {where}")
-        except SolverError:
-            # the weights that produced the bad model, tagged with the epoch
-            if checkpoint_dir is not None:
-                save_checkpoint(f"{checkpoint_dir}/diagnostic.ckpt", mlp, t)
-            raise
+    def evaluate(m, where: str):
+        phi_d, cot = data_misfit(w_d, d_obs, simulator.predict(m))
+        if not np.isfinite(phi_d):
+            raise SolverError(f"non-finite misfit {where}")
         return phi_d, cot
 
-    for t in range(1, epochs + 1):
-        t0 = time.perf_counter()
-        beta_t = cooling_beta(t, tau) if tau is not None else 0.0
-        lin = JacobianOperator(mlp, Z)
-        m = lin.m
-        phi_d, cot = evaluate(m, t, f"at epoch {t}")
+    t = 0
+    try:
+        for t in range(1, epochs + 1):
+            t0 = time.perf_counter()
+            beta_t = cooling_beta(t, tau) if tau is not None else 0.0
+            lin = JacobianOperator(mlp, Z)
+            m = lin.m
+            phi_d, cot = evaluate(m, f"at epoch {t}")
 
-        phi_m = 0.0
-        g_m = (1.0 - beta_t) * simulator.gradient(cot)
-        if reg is not None and beta_t != 0.0:
-            reg.update_irls(m, IRLS_EPSILON)
-            phi_m, g_reg = reg.value_and_grad(m)
-            g_m = g_m + beta_t * g_reg
+            phi_m = 0.0
+            g_m = (1.0 - beta_t) * simulator.gradient(cot)
+            if reg is not None and beta_t != 0.0:
+                reg.update_irls(m, IRLS_EPSILON)
+                phi_m, g_reg = reg.value_and_grad(m)
+                g_m = g_m + beta_t * g_reg
 
-        misfits.append(phi_d)
-        betas.append(beta_t)
-        regs.append(phi_m)
-        if checkpoint_every and checkpoint_dir is not None \
-                and t % checkpoint_every == 0:
-            save_checkpoint(f"{checkpoint_dir}/epoch_{t:06d}.ckpt", mlp, t)
-        if target_misfit is not None and phi_d <= target_misfit:
+            misfits.append(phi_d)
+            betas.append(beta_t)
+            regs.append(phi_m)
+            if checkpoint_every and checkpoint_dir is not None \
+                    and t % checkpoint_every == 0:
+                save_checkpoint(f"{checkpoint_dir}/epoch_{t:06d}.ckpt", mlp, t)
+            if target_misfit is not None and phi_d <= target_misfit:
+                clocks.append(time.perf_counter() - t0)
+                converged = True
+                break
+
+            g_w = lin.rmatvec(g_m)
+            del lin  # one epoch's layer inputs held at a time
+            w = adam.step(w, g_w)
+            if not np.isfinite(w).all():
+                raise SolverError(f"non-finite Adam step at epoch {t}")
+            set_weights(mlp, w)
             clocks.append(time.perf_counter() - t0)
-            converged = True
-            break
 
-        g_w = lin.rmatvec(g_m)
-        del lin  # one epoch's layer inputs held at a time
-        w = adam.step(w, g_w)
-        set_weights(mlp, w)
-        clocks.append(time.perf_counter() - t0)
-
-    model = forward(mlp, Z)
-    final_misfit, _ = evaluate(model, len(misfits),
-                               f"of the final model after epoch {len(misfits)}")
+        model = forward(mlp, Z)
+        final_misfit, _ = evaluate(
+            model, f"of the final model after epoch {len(misfits)}")
+    except SolverError:
+        # the network still holds the weights that made epoch t's model
+        if checkpoint_dir is not None:
+            save_checkpoint(f"{checkpoint_dir}/diagnostic.ckpt", mlp, t)
+        raise
     return InversionResult(
         model=model,
         misfit_history=np.array(misfits),
@@ -323,7 +326,7 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
     gradient_descent: steepest descent with Armijo backtracking.  The
     first trial step is the inverse of a Lipschitz power-iteration
     estimate; after each accepted step the next trial step is twice the
-    accepted one, capped at 64 times the previous trial step.
+    accepted one.
     gauss_newton: inexact Newton with conjugate-gradient inner solves
     (``GN_CG_MAXITER`` iterations, relative tolerance ``GN_CG_RTOL``) on
     J^T W^2 J + beta * H_reg, a backtracking line search, multiplicative
@@ -417,7 +420,6 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
         if slope >= 0:  # CG returned a non-descent direction; fall back
             direction = -grad
             slope = -float(grad @ grad)
-            step = step0 if step0 is not None else 1.0
         accepted = False
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(30):
@@ -440,7 +442,7 @@ def conventional_invert(simulator, d_obs: np.ndarray, w_d, m0: np.ndarray,
         # the simulator is now linearized at the accepted model
         m, d_pred = trial, d_trial
         if optimizer == "gradient_descent":
-            step0 = min(step * 2.0, step0 * 64)
+            step0 = step * 2.0
         beta_t /= beta_cooling
         clocks.append(time.perf_counter() - t0)
 

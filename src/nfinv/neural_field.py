@@ -132,10 +132,12 @@ _GRAM_BYTES = 2 ** 20
 _CHUNK_ROWS = 256
 
 
-def _chunks(part: slice) -> list[slice]:
-    """The rows of ``part`` in chunks of at most _CHUNK_ROWS."""
-    return [slice(lo, min(lo + _CHUNK_ROWS, part.stop))
-            for lo in range(part.start, part.stop, _CHUNK_ROWS)]
+def _row_blocks(part: slice, rows: int) -> list[slice]:
+    """The rows of ``part`` in blocks of ``rows`` (one at least), the last
+    one clipped to the part."""
+    rows = max(1, rows)
+    return [slice(lo, min(lo + rows, part.stop))
+            for lo in range(part.start, part.stop, rows)]
 
 
 def _gram_rows(s: slice, x, d, out: np.ndarray, t, u) -> None:
@@ -160,11 +162,14 @@ class JacobianOperator:
     ``rmatvec`` backpropagates its cotangent through that cache, so it
     equals a separate forward and backward pass bit for bit.  A
     scalar-output network's backprop sensitivities are linear in the
-    cotangent, Delta_l(c) = c * Delta_l(1) row by row, so the unit
-    sensitivities Delta_l(1), from one backward sweep per call, give
+    cotangent, Delta_l(c) = c * Delta_l(1) row by row, so one layer
+    stream, ``_layers``, the backward sweep of the unit cotangent, gives
     ``matmat``, ``rmatmat``, ``gram`` and the dense Jacobian as GEMMs per
     layer (the per-example gradient identity, Goodfellow,
-    arXiv:1510.01799); none of them keeps the sensitivities.
+    arXiv:1510.01799), none holding more than two layers' sensitivities.
+    Each pass over cells takes its rows from one rule, ``_row_blocks``:
+    _CHUNK_ROWS rows in the sweeps, _BLOCK_BYTES of temporary in
+    ``matmat`` and ``rmatmat``, _GRAM_BYTES of buffer in ``gram``.
     Every product is exact.  The cache holds the weights at construction:
     build a new operator after changing them.  shape is (n_cells, n_params).
     """
@@ -191,7 +196,7 @@ class JacobianOperator:
             scaled = next(slots)
             for (w, b), x, a in zip(hidden, self._xs, self._xs[1:]):
                 np.matmul(x[part], w, out=a[part])
-                for c in _chunks(part):
+                for c in _row_blocks(part, _CHUNK_ROWS):
                     ac = a[c]
                     ac += b
                     # LeakyReLU; equals np.where(a > 0, a, slope * a) for a
@@ -209,17 +214,10 @@ class JacobianOperator:
         act, self._head_deriv = _head(raw, mlp.output_activation)
         self.m = mlp.output_offset + mlp.output_scale * act
 
-    def _slices(self):
-        """(layer input, W, weight slice, bias slice) in flat-vector order."""
-        pos = 0
-        for x, w in zip(self._xs, self._mlp.weights):
-            end = pos + w.size
-            yield x, w, slice(pos, end), slice(end, end + w.shape[1])
-            pos = end + w.shape[1]
-
     def _backward(self, d: np.ndarray, grad: np.ndarray | None = None):
-        """Yield Delta_l, the sensitivities of layer l's pre-activation, last
-        layer first.
+        """Yield (X_l, W_l, weight slice, bias slice, Delta_l) for each layer,
+        last layer first, the slices in flat-vector order and Delta_l the
+        sensitivities of layer l's pre-activation.
 
         ``d`` holds those of the raw output, shape (n_cells, 1).  Delta_{l-1}
         is (Delta_l @ W_l.T) times the LeakyReLU derivative at X_l, which
@@ -228,19 +226,21 @@ class JacobianOperator:
         cells) into it at the same time (``_split``), each over all cells,
         so no sum is cut and the result does not depend on the core count.
         """
-        layers = list(self._slices())
-        slope = self._mlp.hidden_slope
-        width = max((x.shape[1] for x, *_ in layers[1:]), default=0)
+        weights, slope = self._mlp.weights, self._mlp.hidden_slope
+        # where each layer's W, then its bias, starts in the flat vector
+        starts = np.cumsum([0] + [w.size + w.shape[1] for w in weights])
+        width = max((x.shape[1] for x in self._xs[1:]), default=0)
         mask = np.empty(_CHUNK_ROWS * width, dtype=bool)
         factor = np.empty(_CHUNK_ROWS * width)
-        for i in range(len(layers) - 1, -1, -1):
-            x, w, ws, bs = layers[i]
-            yield d
+        for i in range(len(weights) - 1, -1, -1):
+            x, w, at = self._xs[i], weights[i], starts[i]
+            ws, bs = slice(at, at + w.size), slice(at + w.size, starts[i + 1])
+            yield x, w, ws, bs, d
             below = []
 
             def propagate():
                 d_in = d @ w.T
-                for c in _chunks(slice(0, len(x))):
+                for c in _row_blocks(slice(0, len(x)), _CHUNK_ROWS):
                     # LeakyReLU derivative: X_i > 0 exactly where the
                     # argument of layer i - 1 was positive (slope >= 0).
                     # The factor pos * (1 - s) + s equals np.where(x > 0,
@@ -268,20 +268,11 @@ class JacobianOperator:
             if i:
                 d = below[0]
 
-    def _unit_backward(self):
-        """Yield Delta_l(1) = d(model)/d(pre-activation of layer l), all
-        cells, last layer first."""
-        head = (self._mlp.output_scale * self._head_deriv)[:, None]
-        return self._backward(head)
-
-    def _unit_deltas(self) -> list[np.ndarray]:
-        """Every Delta_l(1), first layer first."""
-        return list(self._unit_backward())[::-1]
-
-    def _blocks(self, width: int):
-        """Cell slices whose (rows, width) float64 temporaries fit a block."""
-        rows = max(1, _BLOCK_BYTES // (8 * width))
-        return [slice(s, s + rows) for s in range(0, self.shape[0], rows)]
+    def _layers(self):
+        """The layer stream: ``_backward`` of the unit cotangent, whose
+        Delta_l(1) = d(model)/d(pre-activation of layer l)."""
+        return self._backward((self._mlp.output_scale
+                               * self._head_deriv)[:, None])
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
         """J.T @ u: the weight gradient of (u . m), one reverse sweep."""
@@ -298,13 +289,14 @@ class JacobianOperator:
     def matmat(self, v: np.ndarray) -> np.ndarray:
         """J @ V for V of shape (n_params, r)."""
         v = np.asarray(v, dtype=float)
-        r = v.shape[1]
-        out = np.zeros((self.shape[0], r))
-        for (x, w, ws, bs), d in zip(self._slices(), self._unit_deltas()):
+        n, r = self.shape[0], v.shape[1]
+        out = np.zeros((n, r))
+        for x, w, ws, bs, d in self._layers():
             fan_in, fan_out = w.shape
             out += d @ v[bs]
             vw = v[ws].reshape(fan_in, fan_out * r)
-            for s in self._blocks(fan_out * r):
+            for s in _row_blocks(slice(0, n),
+                                 _BLOCK_BYTES // (8 * fan_out * r)):
                 t = (x[s] @ vw).reshape(-1, fan_out, r)
                 out[s] += np.einsum("njk,nj->nk", t, d[s])
         return out
@@ -312,16 +304,18 @@ class JacobianOperator:
     def rmatmat(self, u: np.ndarray) -> np.ndarray:
         """J.T @ U for U of shape (n_cells, r)."""
         u = np.asarray(u, dtype=float)
-        r = u.shape[1]
+        n, r = u.shape
         out = np.empty((self.shape[1], r))
-        for (x, w, ws, bs), d in zip(self._slices(), self._unit_deltas()):
+        for x, w, ws, bs, d in self._layers():
             fan_in, fan_out = w.shape
             out[bs] = d.T @ u
             g = out[ws].reshape(fan_in, fan_out * r)
             g[...] = 0.0
-            for s in self._blocks(fan_out * r):
-                du = d[s][:, :, None] * u[s][:, None, :]
-                g += x[s].T @ du.reshape(-1, fan_out * r)
+            for s in _row_blocks(slice(0, n),
+                                 _BLOCK_BYTES // (8 * fan_out * r)):
+                # one statement: one block's d * u product alive at a time
+                g += x[s].T @ (d[s][:, :, None] * u[s][:, None, :]).reshape(
+                    -1, fan_out * r)
         return out
 
     def gram(self) -> np.ndarray:
@@ -330,23 +324,25 @@ class JacobianOperator:
         i (i + 1) / 2 + j, n_cells (n_cells + 1) / 2 doubles.
 
         Row i of J holds x_i (x) delta_i and delta_i for each layer, so
-        G_ij = sum_l (x_i . x_j + 1) (delta_i . delta_j), summed from zero,
-        last layer first.  The unit sensitivities are streamed from the
-        backward sweep one layer at a time, never all held.  Each layer's
-        rows run in blocks of a fixed geometry (``_gram_blocks``), so an
-        entry's GEMMs, and its bits, do not depend on the core count: the
-        parts of a ``_split`` take the blocks from one shared queue,
-        largest first, each through two GEMM buffers allocated here.
+        G_ij = sum_l (x_i . x_j + 1) (delta_i . delta_j), summed from zero
+        in the layer stream's order, last layer first.  Each layer's rows
+        run in ``_row_blocks`` of _GRAM_BYTES of (rows, n_cells) buffer, a
+        fixed size, so an entry's GEMMs, and its bits, do not depend on
+        the core count: the parts of a ``_split`` take the blocks from one
+        shared queue, largest first, each through two GEMM buffers
+        allocated here.
         """
         n = self.shape[0]
-        blocks = self._gram_blocks()
+        blocks = sorted(_row_blocks(slice(0, n), _GRAM_BYTES // (8 * n)),
+                        key=lambda s: (s.stop - s.start) * s.stop,
+                        reverse=True)
         out = np.zeros(n * (n + 1) // 2)
         # one pair of buffers per part, as _split cuts them, each the size
         # of the first (largest) block
         s = blocks[0]
         bufs = list(np.empty((min(blas._cores(), len(blocks)), 2,
                               (s.stop - s.start) * s.stop)))
-        for x, d in zip(self._xs[::-1], self._unit_backward()):
+        for x, *_, d in self._layers():
             slots, queue = iter(bufs), iter(blocks)
 
             def take(part: slice) -> None:
@@ -357,21 +353,11 @@ class JacobianOperator:
             blas._split(take, len(blocks))
         return out
 
-    def _gram_blocks(self) -> list[slice]:
-        """gram's row blocks, largest first: _GRAM_BYTES // (8 n_cells)
-        rows each (one at least), the last one maybe shorter."""
-        n = self.shape[0]
-        rows = max(1, _GRAM_BYTES // (8 * n))
-        return sorted((slice(lo, min(lo + rows, n))
-                       for lo in range(0, n, rows)),
-                      key=lambda s: (s.stop - s.start) * s.stop,
-                      reverse=True)
-
     def dense(self) -> np.ndarray:
         """The whole Jacobian; row i is the weight gradient of m_i."""
         out = np.empty(self.shape)
         n = self.shape[0]
-        for (x, w, ws, bs), d in zip(self._slices(), self._unit_deltas()):
+        for x, w, ws, bs, d in self._layers():
             np.multiply(x[:, :, None], d[:, None, :],
                         out=out[:, ws].reshape(n, *w.shape))
             out[:, bs] = d

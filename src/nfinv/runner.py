@@ -71,7 +71,8 @@ def assemble(man: dict) -> Assembled:
         mesh = build_tomo_mesh(mesh_cfg["nx"], mesh_cfg["nz"],
                                mesh_cfg["dx"], mesh_cfg["dz"])
         if case == 1:
-            truth = make_case1(mesh, **tm)
+            with np.errstate(over="ignore"):  # named below if it overflows
+                truth = make_case1(mesh, **tm)
         else:
             try:
                 field = gaussian_random_field(
@@ -85,9 +86,19 @@ def assemble(man: dict) -> Assembled:
             survey = tomo.build_crosshole_survey(mesh, man["survey"]["spacing"])
         except (ValueError, CapacityError) as exc:
             raise ManifestError("survey.spacing", str(exc)) from exc
-        simulator = tomo.TomoSimulator(tomo.build_ray_matrix(mesh, survey))
+        try:
+            simulator = tomo.TomoSimulator(tomo.build_ray_matrix(mesh, survey))
+        except GeometryError as exc:
+            # a subnormal dx has too few bits to place a ray in its cells
+            raise ManifestError("mesh.dx", str(exc)) from exc
         d_clean = simulator.predict(truth)
+        if not np.all(np.isfinite(d_clean)):
+            # case 2 floors its velocities; of case 1's, the slower one
+            slow = min(("background_velocity", "block_velocity"), key=tm.get)
+            raise ManifestError(f"true_model.{slow}", "travel times overflow")
         uncertainty = man["noise"]["std_ms"] * 1e-3
+        if uncertainty * np.finfo(float).max < 1.0:
+            raise ManifestError("noise.std_ms", "its data weight overflows")
     else:
         try:
             mesh = build_dcr_mesh(mesh_cfg["nx_core"], mesh_cfg["nz_core"],

@@ -473,6 +473,30 @@ class TestCli:
         assert np.all(np.isfinite(get_weights(mlp)))
         assert not (tmp_path / "run" / "weights_final.ckpt").exists()
 
+    def test_non_finite_adam_step_keeps_a_loadable_checkpoint(self, tmp_path,
+                                                              capsys):
+        # epoch 1's weight gradient is finite (up to ~1e306), but Adam's
+        # lr * m_hat overflows and the step gives inf / inf = NaN weights:
+        # the run aborts there, and the checkpoint holds the last finite
+        # weights
+        man = default_manifest(1, "nfs", 0)
+        man["mesh"].update(nx=8, nz=10)
+        man["survey"]["spacing"] = 2.0
+        man["network"]["hidden"] = [8, 8]
+        man["network"]["output_scale"] = 1e150
+        man["nfs"]["learning_rate"] = 1e3
+        man["epochs"] = 6
+        path = tmp_path / "diverge.json"
+        save_manifest(man, path)
+        with np.errstate(all="ignore"):
+            code = main(["invert", "--manifest", str(path),
+                         "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert "Adam step at epoch 1" in capsys.readouterr().err
+        mlp, header = load_checkpoint(tmp_path / "run" / "diagnostic.ckpt")
+        assert header["epoch"] == 1
+        assert np.all(np.isfinite(get_weights(mlp)))
+
     def test_dcr_divergence_exit_3(self, tmp_path, capsys):
         # a linear head at lr = 50 sends 10**m to 0 within a few epochs
         man = default_manifest(3, "nfs", 0)

@@ -105,6 +105,15 @@ PROBES = [
     ("invert", 3, "mesh.nx_core", 100000000, "mesh.nx_core"),
     # a deep mesh whose band factor alone exceeds the byte budget
     ("simulate", 3, "mesh.nz_core", 200000, "mesh.nz_core"),
+    # in-range extremes whose tomography set-up fails: a data weight that
+    # is not finite, a subnormal cell width and travel times that overflow
+    ("simulate", 1, "noise.std_ms", 5e-324, "noise.std_ms"),
+    ("invert", 2, "noise.std_ms", 5e-324, "noise.std_ms"),
+    ("simulate", 1, "mesh.dx", 5e-324, "mesh.dx"),
+    ("simulate", 1, "true_model.background_velocity", 5e-324,
+     "true_model.background_velocity"),
+    ("invert", 1, "true_model.block_velocity", 1e-308,
+     "true_model.block_velocity"),
 ]
 
 
@@ -230,16 +239,28 @@ def bounded(decl):
     return isinstance(decl, F) and (decl.lo, decl.gt, decl.hi) != (None,) * 3
 
 
+def positive(decl):
+    """A float field bounded only below by zero (exclusive)."""
+    return (isinstance(decl, F) and decl.kind is float and decl.gt == 0
+            and decl.lo is None and decl.hi is None)
+
+
 # one value of each JSON type; none is a large size
 RETYPES = (None, True, "x", [1.0], {"x": 1}, 1, 0.5)
+# in range for a positive float field: the least subnormal, a subnormal
+# neighbour of the least normal and a value near the overflow
+EXTREMES = (5e-324, 1e-308, 1e300)
+MUTATIONS = {"drop": lambda decl: True, "retype": lambda decl: True,
+             "past": bounded, "extreme": positive}
 
 
 def draw_mutation(data, man):
-    """Drop, retype or push past its bound one drawn value of ``man``;
-    returns which of the three it did."""
-    how = data.draw(st.sampled_from(["drop", "retype", "past"]))
+    """Drop, retype or push past its bound one drawn value of ``man``, or
+    set a positive float field to an in-range extreme; returns which of
+    the four it did."""
+    how = data.draw(st.sampled_from(list(MUTATIONS)))
     paths = [p for p in leaf_paths(man)
-             if how != "past" or bounded(declaration(man, p))]
+             if MUTATIONS[how](declaration(man, p))]
     path = data.draw(st.sampled_from(paths))
     if how == "drop":
         value = DROP
@@ -249,6 +270,8 @@ def draw_mutation(data, man):
             current = current[key]
         value = data.draw(st.sampled_from(
             [v for v in RETYPES if type(v) is not type(current)]))
+    elif how == "extreme":
+        value = data.draw(st.sampled_from(EXTREMES))
     else:
         value = past_bound(declaration(man, path))
     mutate(man, path, value)
@@ -269,9 +292,13 @@ def run_verb(verb, man):
 def test_mutated_manifest_simulates_or_exits_2(data):
     man = tiny(data.draw(st.sampled_from([1, 2, 3, 4])))
     how = draw_mutation(data, man)
-    code = run_verb("simulate", man)
-    # a dropped key or a value past its bound is always invalid
-    assert code == 2 if how != "retype" else code in (0, 2)
+    # an extreme may overflow on its way to an exit, as in ``invert``
+    with np.errstate(all="ignore" if how == "extreme" else None):
+        code = run_verb("simulate", man)
+    # a dropped key or a value past its bound is always invalid; an
+    # extreme may also end in a numerical abort, never in a traceback
+    assert code in {"drop": (2,), "past": (2,), "retype": (0, 2),
+                    "extreme": (0, 2, 3)}[how]
 
 
 @settings(max_examples=150, deadline=None)
@@ -284,7 +311,7 @@ def test_mutated_manifest_inverts_or_exits_2_or_3(data):
     how = draw_mutation(data, man)
     with np.errstate(all="ignore"):
         code = run_verb("invert", man)
-    assert code == 2 if how != "retype" else code in (0, 2, 3)
+    assert code == 2 if how in ("drop", "past") else code in (0, 2, 3)
 
 
 def declared_keys(spec, path=""):

@@ -49,6 +49,18 @@ def plain_pass(mlp, z, u):
     return xs, m, backprop(mlp.output_scale * deriv), grad
 
 
+def unit_deltas(op):
+    """Every Delta_l(1) from the operator's layer stream, first layer
+    first."""
+    return [d for *_, d in op._layers()][::-1]
+
+
+def gram_blocks(n):
+    """gram's row blocks for n cells at the current _GRAM_BYTES."""
+    return neural_field._row_blocks(slice(0, n),
+                                    neural_field._GRAM_BYTES // (8 * n))
+
+
 class TestInit:
     def test_paper_param_count_identity_input(self):
         dims = (2,) + PAPER_HIDDEN + (1,)
@@ -258,7 +270,9 @@ class TestJacobian:
         rng = np.random.default_rng(r)
         z = rng.normal(size=(211, 3))
         op = JacobianOperator(mlp, z)
-        assert any(s.stop > 211 for s in op._blocks(16 * r))
+        blocks = neural_field._row_blocks(
+            slice(0, 211), neural_field._BLOCK_BYTES // (8 * 16 * r))
+        assert len({s.stop - s.start for s in blocks}) == 2
         j = weight_jacobian(mlp, z)
         v = rng.normal(size=(mlp.param_count, r))
         u = rng.normal(size=(211, r))
@@ -273,7 +287,7 @@ class TestJacobian:
                            output_scale=1.7, seed=7)
         z = np.random.default_rng(14).normal(size=(211, 3))
         op = JacobianOperator(mlp, z)
-        assert len({s.stop - s.start for s in op._gram_blocks()}) == 2
+        assert len({s.stop - s.start for s in gram_blocks(211)}) == 2
         j = weight_jacobian(mlp, z)
         want = j @ j.T
         lower = np.zeros((211, 211))
@@ -293,10 +307,10 @@ class TestJacobian:
                            output_scale=1.7, seed=7)
         z = np.random.default_rng(15).normal(size=(211, 3))
         op = JacobianOperator(mlp, z)
-        assert len(op._gram_blocks()) > 3
+        assert len(gram_blocks(211)) > 3
         want = np.zeros((211, 211))
-        for x, d in zip(op._xs[::-1], op._unit_deltas()[::-1]):
-            for s in op._gram_blocks():
+        for x, *_, d in op._layers():
+            for s in gram_blocks(211):
                 want[s, :s.stop] += ((x[s] @ x[:s.stop].T + 1.0)
                                      * (d[s] @ d[:s.stop].T))
         assert np.array_equal(op.gram(), want[np.tri(211, dtype=bool)])
@@ -317,7 +331,7 @@ class TestJacobian:
         op = JacobianOperator(mlp, z)
         assert np.array_equal(op.m, m)
         assert all(np.array_equal(got, want)
-                   for got, want in zip(op._unit_deltas(), unit))
+                   for got, want in zip(unit_deltas(op), unit))
         assert np.array_equal(op.rmatvec(u), grad)
 
     def test_jvp_vjp_adjoint_identity(self):
@@ -375,7 +389,7 @@ class TestSplitPass:
         assert np.array_equal(op.m, m)
         assert np.array_equal(op.rmatvec(u), grad)
         assert all(np.array_equal(got, d)
-                   for got, d in zip(op._unit_deltas(), unit))
+                   for got, d in zip(unit_deltas(op), unit))
 
     # 3, 5 and 7 rows over up to 3 cores: a part of one row would run as a
     # matrix-vector product
@@ -408,7 +422,7 @@ class TestSplitPass:
                 monkeypatch.setattr(blas, "_cores", lambda c=cores: c)
                 taken.clear()
                 op = JacobianOperator(mlp, z)
-                blocks = len(op._gram_blocks())
+                blocks = len(gram_blocks(211))
                 assert blocks > 3 * cores
                 grams.append(op.gram())
                 # in each of the 3 layers the parts' blocks cover every

@@ -167,3 +167,26 @@ class TestAnalyzeTrainedNetwork:
         finally:
             tracemalloc.stop()
         assert peak < bound, (peak, bound)
+
+    def test_ritz_peak_memory_holds_two_layers_sensitivities(self):
+        # rmatmat, the Ritz step's J.T @ Q: the output, plus the two widest
+        # layers' unit sensitivities, which the backward sweep streams,
+        # plus one block's d * u temporary, plus 1 MiB for the rest (the
+        # sweep's chunk buffers; a block's GEMM result, at most one
+        # layer's share of the output, is held beside one layer's
+        # sensitivities only).  Every layer's sensitivities held at once
+        # (6.3 MB more), or two block temporaries (4.2 MB more), would not
+        # fit
+        mlp, z, _ = _identity_net(32, 64, DESK_HIDDEN, seed=0)
+        n, r = 2048, 10
+        op = JacobianOperator(mlp, z)
+        u = np.random.default_rng(0).standard_normal((n, r))
+        bound = (8 * (mlp.param_count * r + 2 * n * max(DESK_HIDDEN))
+                 + neural_field._BLOCK_BYTES + 2 ** 20)
+        tracemalloc.start()
+        try:
+            op.rmatmat(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
